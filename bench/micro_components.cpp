@@ -14,7 +14,7 @@
 #include "cpu/core.hh"
 #include "ckpt/log.hh"
 #include "energy/energy_model.hh"
-#include "harness/sweep.hh"
+#include "harness/sharded_sweep.hh"
 #include "isa/builder.hh"
 #include "mem/main_memory.hh"
 #include "slice/engine.hh"
@@ -186,18 +186,19 @@ BENCHMARK(BM_RecomputeVsRestoreCrossover)
     ->Arg(120);
 
 /**
- * End-to-end throughput of the Sweep fan-out as a function of the job
- * count (the argument): a fixed 8-point grid over a pre-warmed shared
- * Runner, so the measurement isolates experiment execution plus pool
- * overhead from one-time program/slice-pass construction. On a
+ * End-to-end throughput of the in-process ShardedSweep fan-out as a
+ * function of the job count (the argument): a fixed 8-point grid over
+ * a pre-warmed shared RunnerPool, so the measurement isolates
+ * experiment execution plus pool overhead from one-time
+ * program/slice-pass construction. On a
  * multi-core host, items/s should scale with the argument until it
  * reaches the core count.
  */
 void
 BM_SweepFanout(benchmark::State &state)
 {
-    static harness::Runner runner(4);
-    std::vector<harness::SweepPoint> points;
+    static harness::RunnerPool pool;
+    std::vector<harness::GridPoint> points;
     for (const char *name : {"is", "cg"}) {
         for (auto mode : {harness::BerMode::kNoCkpt,
                           harness::BerMode::kCkpt,
@@ -207,11 +208,11 @@ BM_SweepFanout(benchmark::State &state)
             config.mode = mode;
             config.numCheckpoints = 10;
             config.sliceThreshold = 0;
-            points.push_back({name, config});
+            points.push_back({name, config, 4});
         }
     }
-    harness::Sweep sweep(runner,
-                         static_cast<unsigned>(state.range(0)));
+    harness::ShardedSweep sweep(pool,
+                                static_cast<unsigned>(state.range(0)));
     sweep.run(points);  // warm every cache outside the timing loop
     for (auto _ : state)
         benchmark::DoNotOptimize(sweep.run(points));

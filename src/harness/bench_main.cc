@@ -3,9 +3,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -14,7 +16,6 @@
 #include "harness/exit_code.hh"
 #include "harness/result_cache.hh"
 #include "harness/supervisor.hh"
-#include "harness/sweep.hh"
 #include "workloads/workload.hh"
 
 namespace acr::harness
@@ -22,6 +23,10 @@ namespace acr::harness
 
 namespace
 {
+
+/** --point-timeout cap in seconds (~11.6 days): far past any real
+ *  point, far short of the steady_clock overflow. */
+constexpr double kMaxPointTimeout = 1e6;
 
 std::vector<std::string>
 splitCommaList(const std::string &text)
@@ -65,8 +70,9 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
                   "sweep worker threads (0: ACR_JOBS, then hardware "
                   "concurrency)");
     parser.addInt("forks", 0,
-                  "local worker processes (fork/exec of this binary "
-                  "with --worker; 0: in-process threads)");
+                  "local worker processes: --worker children of this "
+                  "binary on socketpairs, supervised like --listen "
+                  "members (0: in-process threads)");
     parser.addString("shard", "",
                      "run only shard i of N ('i/N') and emit wire "
                      "records instead of rendering");
@@ -74,8 +80,8 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
                      "comma-separated shard record files to merge and "
                      "render");
     parser.addFlag("worker",
-                   "wire-protocol worker: read point records on stdin, "
-                   "write result records to stdout");
+                   "internal --forks child: serve the framed channel "
+                   "on stdin");
     parser.addString("listen", "",
                      "distributed coordinator: accept TCP --connect "
                      "workers on HOST:PORT (port 0: kernel-picked, "
@@ -87,8 +93,9 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
                      "$ACR_CONNECT)");
     parser.envDefault("connect", "ACR_CONNECT");
     parser.addUint("heartbeat", 5,
-                   "distributed keepalive cadence in seconds (idle "
-                   "timeout 4x, join grace 8x, reconnect window 10x)");
+                   "keepalive cadence in seconds for --listen and "
+                   "--forks members (idle timeout 4x, join grace 8x, "
+                   "reconnect window 10x)");
     parser.addString("format", "table",
                      "output format: table, csv, or json");
     parser.addString("workloads", "",
@@ -101,10 +108,12 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
     parser.envDefault("backend", "ACR_BACKEND");
     parser.addInt("retries", 2,
                   "retry a failed point this many times on fresh "
-                  "workers before quarantining it (forked mode)");
+                  "workers before quarantining it (--forks and "
+                  "--listen)");
     parser.addDouble("point-timeout", 0.0,
-                     "per-point watchdog in seconds: SIGKILL and retry "
-                     "a worker wedged longer than this (0: off)");
+                     "per-point watchdog in seconds, at most 1e6: drop "
+                     "(SIGKILL a local worker) and retry a worker "
+                     "wedged longer than this (0: off)");
     parser.addString("journal", "",
                      "append each completed point to this file as "
                      "fsync'd wire records (progress log + result "
@@ -123,15 +132,20 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
     if (spec.readOptions)
         spec.readOptions(parser);
 
+    // Counts must fit the unsigned fields they land in: a silent wrap
+    // would turn --retries=4294967296 into 0.
+    const auto count = [&parser](const char *flag) {
+        const long long value = parser.getInt(flag);
+        if (value < 0)
+            fatal("--%s must be >= 0, got %lld", flag, value);
+        if (value > std::numeric_limits<unsigned>::max())
+            fatal("--%s must be at most %u, got %lld", flag,
+                  std::numeric_limits<unsigned>::max(), value);
+        return static_cast<unsigned>(value);
+    };
     BenchOptions options;
-    const long long jobs = parser.getInt("jobs");
-    if (jobs < 0)
-        fatal("--jobs must be >= 0, got %lld", jobs);
-    options.jobs = static_cast<unsigned>(jobs);
-    const long long forks = parser.getInt("forks");
-    if (forks < 0)
-        fatal("--forks must be >= 0, got %lld", forks);
-    options.forks = static_cast<unsigned>(forks);
+    options.jobs = count("jobs");
+    options.forks = count("forks");
     const std::string shard = parser.getString("shard");
     if (!shard.empty()) {
         options.shardMode = true;
@@ -168,14 +182,15 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
                   "'%s'",
                   backend.c_str());
     }
-    const long long retries = parser.getInt("retries");
-    if (retries < 0)
-        fatal("--retries must be >= 0, got %lld", retries);
-    options.retries = static_cast<unsigned>(retries);
+    options.retries = count("retries");
+    // The watchdog deadline is a steady_clock duration, which
+    // overflows past ~9.2e9 s; NaN would silently disable it.
     options.pointTimeout = parser.getDouble("point-timeout");
-    if (options.pointTimeout < 0)
-        fatal("--point-timeout must be >= 0, got %g",
-              options.pointTimeout);
+    if (!std::isfinite(options.pointTimeout) ||
+        options.pointTimeout < 0 ||
+        options.pointTimeout > kMaxPointTimeout)
+        fatal("--point-timeout must be in [0, %g] seconds, got %g",
+              kMaxPointTimeout, options.pointTimeout);
     options.journal = parser.getString("journal");
     options.resume = parser.getFlag("resume");
     options.cachePath = parser.getString("cache");
@@ -414,7 +429,7 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
 
     RunnerPool pool;
     if (options.workerMode)
-        return ShardedSweep::workerLoop(pool, std::cin, std::cout);
+        return ShardedSweep::childWorkerLoop(pool, STDIN_FILENO);
 
     BenchContext context(spec.name, options, pool, std::cout);
     std::vector<GridPoint> grid = spec.grid(context);
@@ -453,9 +468,6 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
     }
 
     ShardedSweep sweep(pool, options.jobs);
-    const std::vector<std::string> worker_cmd = {
-        ShardedSweep::selfExecutable(argc > 0 ? argv[0] : spec.name),
-        "--worker"};
 
     const ShardedSweep::Shard shard =
         options.shardMode ? options.shard : ShardedSweep::Shard{};
@@ -483,6 +495,7 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
               exit_env);
 
     ShardedSweep::SweepControls controls;
+    controls.supervise.workers = options.forks;
     controls.supervise.retries = options.retries;
     controls.supervise.pointTimeoutSec = options.pointTimeout;
 
@@ -547,15 +560,21 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
     }
 
     std::vector<ExperimentResult> results;
-    if (options.listenMode)
-        results = sweep.runDistributed(grid, options.listen,
-                                       options.heartbeatSec,
-                                       spec.name, controls);
-    else if (options.forks > 0)
-        results = sweep.runForked(grid, options.forks, worker_cmd,
-                                  shard, controls);
-    else
+    if (options.listenMode || options.forks > 0) {
+        Supervisor::NetOptions fleet;
+        fleet.listen = options.listen;
+        fleet.heartbeatSec = options.heartbeatSec;
+        fleet.bench = spec.name;
+        std::vector<std::string> worker_cmd;
+        if (options.forks > 0)
+            worker_cmd = {ShardedSweep::selfExecutable(
+                              argc > 0 ? argv[0] : spec.name),
+                          "--worker"};
+        results = sweep.runDistributed(grid, shard, worker_cmd, fleet,
+                                       controls);
+    } else {
         results = sweep.run(grid, shard, controls);
+    }
     sweep.reportTiming(std::cerr);
     if (cache.isOpen())
         std::cerr << "[sweep] cache: " << cache.hits() << " hit(s), "

@@ -6,15 +6,17 @@
  * call to benchMain(), which owns the common command line:
  *
  *   --jobs=N        in-process sweep worker threads
- *   --forks=N       local multi-process mode: fork/exec N `--worker`
- *                   children of this same binary
+ *   --forks=N       local multi-process mode: fork N `--worker`
+ *                   children of this same binary, each on one end of
+ *                   a socketpair, supervised by the same loop as a
+ *                   --listen fleet
  *   --shard=i/N     static machine-level sharding: run only this
  *                   shard's grid points and emit wire records
  *                   (manifest + results) instead of rendering
  *   --merge=a,b,... read shard record files, verify they cover this
  *                   exact grid, and render the normal output
- *   --worker        wire-protocol worker (stdin points, stdout
- *                   results); used by --forks
+ *   --worker        internal --forks child entry point: serve the
+ *                   framed wire channel on stdin
  *   --listen=H:P    distributed coordinator: accept TCP `--connect`
  *                   workers on HOST:PORT (port 0: kernel-picked,
  *                   announced on stderr) and deal grid points to the
@@ -23,9 +25,10 @@
  *                   handshake (bench + grid + protocol version), run
  *                   dealt points, reconnect on connection loss
  *                   (default $ACR_CONNECT)
- *   --heartbeat=S   distributed keepalive cadence in seconds (idle
- *                   peers time out at 4x, the empty-fleet join grace
- *                   is 8x, the worker reconnect window 10x)
+ *   --heartbeat=S   keepalive cadence in seconds for --listen and
+ *                   --forks members (idle members time out at 4x, the
+ *                   empty-fleet join grace is 8x, the --connect
+ *                   reconnect window 10x)
  *   --format=F      table | csv | json rendering
  *   --workloads=a,b restrict the workload axis
  *   --backend=B     override the checkpoint store backend (log |
@@ -36,9 +39,11 @@
  * Fault tolerance (DESIGN.md §10):
  *
  *   --retries=N       retry a failed point N times on fresh workers
- *                     before quarantining it (forked mode; default 2)
- *   --point-timeout=S per-point wall-clock watchdog: SIGKILL + retry
- *                     a worker wedged longer than S seconds (0: off)
+ *                     before quarantining it (--forks and --listen;
+ *                     default 2)
+ *   --point-timeout=S per-point wall-clock watchdog: drop + retry a
+ *                     worker wedged longer than S seconds, SIGKILLing
+ *                     a local one (0: off; at most 1e6)
  *   --journal=FILE    append every completed point to FILE as fsync'd
  *                     wire records (crash-safe progress log + result
  *                     cache)
@@ -82,8 +87,8 @@ namespace acr::harness
 /** Parsed common command line of a bench binary. */
 struct BenchOptions
 {
-    unsigned jobs = 0;   ///< 0: Sweep::defaultJobs()
-    unsigned forks = 0;  ///< >0: local fork/exec worker processes
+    unsigned jobs = 0;   ///< 0: ShardedSweep::defaultJobs()
+    unsigned forks = 0;  ///< >0: local --worker child processes
     ShardedSweep::Shard shard{};
     bool shardMode = false;   ///< --shard given: emit wire records
     bool workerMode = false;  ///< --worker
@@ -91,7 +96,7 @@ struct BenchOptions
     net::Endpoint listen;     ///< parsed --listen endpoint
     bool connectMode = false;  ///< --connect given: TCP worker
     net::Endpoint connect;     ///< parsed --connect endpoint
-    unsigned heartbeatSec = 5;  ///< --heartbeat (distributed mode)
+    unsigned heartbeatSec = 5;  ///< --heartbeat (--listen, --forks)
     TableFormat format = TableFormat::kTable;
     std::vector<std::string> workloads;   ///< resolved selection
     std::vector<std::string> mergeFiles;  ///< --merge given: render
@@ -101,7 +106,7 @@ struct BenchOptions
     bool backendOverride = false;
     ckpt::Backend backend = ckpt::Backend::kLog;
 
-    unsigned retries = 2;       ///< --retries (forked mode)
+    unsigned retries = 2;       ///< --retries (--forks, --listen)
     double pointTimeout = 0.0;  ///< --point-timeout seconds (0: off)
     std::string journal;        ///< --journal path ("" : none)
     bool resume = false;        ///< --resume (needs --journal)

@@ -1,5 +1,6 @@
 #include "harness/sharded_sweep.hh"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 
@@ -11,14 +12,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <thread>
 
 #include "common/logging.hh"
 #include "common/options.hh"
-#include "harness/sweep.hh"
 
 namespace acr::harness
 {
@@ -49,9 +48,9 @@ envCount(const char *name)
 }
 
 /**
- * The worker-side fault-injection hooks (doc on the workerLoop
- * declaration), shared by the pipe (`--worker`) and TCP (`--connect`)
- * loops; all inert unless the environment arms them.
+ * The worker-side fault-injection hooks (doc on the childWorkerLoop
+ * declaration), shared by the `--worker` and `--connect` loops; all
+ * inert unless the environment arms them.
  */
 struct WorkerHooks
 {
@@ -97,6 +96,133 @@ struct WorkerHooks
             ::_exit(43);
     }
 };
+
+/** The served result for @p grid_index, or null to simulate it. */
+const ExperimentResult *
+cachedResult(const ShardedSweep::SweepControls &controls,
+             std::size_t grid_index)
+{
+    if (controls.cache == nullptr)
+        return nullptr;
+    const auto hit = controls.cache->find(grid_index);
+    return hit == controls.cache->end() ? nullptr : &hit->second;
+}
+
+/** How one coordinator connection ended. */
+enum class ChannelEnd
+{
+    kShutdown,  ///< the coordinator's clean end of sweep
+    kLost,      ///< closed, broken, or a protocol error
+    kMismatch,  ///< handshake skew: reconnecting cannot fix it
+};
+
+/**
+ * The per-connection worker body shared by `--connect` and `--worker`:
+ * handshake, then answer pings and simulate dealt points until a
+ * shutdown frame, a close, or a protocol error (reported in @p error
+ * or on stderr). @p offer is the hello a `--connect` worker sends up
+ * front and requires back; a `--worker` child passes null, checks only
+ * the coordinator's protocol version, and echoes its identity. Sets
+ * @p joined once the handshake succeeds.
+ */
+ChannelEnd
+serveChannel(RunnerPool &pool, net::FrameChannel &channel,
+             const wire::HelloRecord *offer, WorkerHooks &hooks,
+             bool &joined, std::string &error)
+{
+    if (offer != nullptr)
+        channel.send(net::FrameType::kWire,
+                     wire::encodeHelloLine(*offer));
+    while (channel.isOpen()) {
+        if (channel.flushWrites(error) == net::FrameChannel::Io::kClosed)
+            break;
+        pollfd pfd{channel.fd(), POLLIN, 0};
+        if (channel.wantsWrite())
+            pfd.events |= POLLOUT;
+        const int rc = ::poll(&pfd, 1, 200);
+        if (rc < 0 && errno != EINTR)
+            fatal("poll: %s", std::strerror(errno));
+        if (rc <= 0)
+            continue;
+        std::vector<net::Frame> frames;
+        const auto io = channel.readFrames(frames, error);
+        for (const auto &frame : frames) {
+            if (frame.type == net::FrameType::kPing) {
+                channel.send(net::FrameType::kPong, "");
+                continue;
+            }
+            if (frame.type == net::FrameType::kShutdown) {
+                channel.flushWrites(error);
+                return ChannelEnd::kShutdown;
+            }
+            if (frame.type != net::FrameType::kWire)
+                continue;  // a stray pong is harmless
+            wire::Record record;
+            try {
+                record = wire::decodeLine(frame.payload);
+            } catch (const serde::SerdeError &err) {
+                std::fprintf(stderr,
+                             "[net] protocol error from coordinator: "
+                             "%s\n",
+                             err.what());
+                return ChannelEnd::kLost;
+            }
+            if (!joined) {
+                if (record.type != wire::Record::Type::kHello) {
+                    std::fprintf(stderr, "[net] coordinator spoke "
+                                         "before its hello\n");
+                    return ChannelEnd::kLost;
+                }
+                const auto &hello = record.hello;
+                wire::HelloRecord mine = offer ? *offer : hello;
+                mine.netVersion = net::kProtocolVersion;
+                if (hello.netVersion != mine.netVersion ||
+                    hello.bench != mine.bench ||
+                    hello.gridPoints != mine.gridPoints ||
+                    hello.gridHash != mine.gridHash) {
+                    std::fprintf(
+                        stderr,
+                        "[net] handshake mismatch: coordinator runs "
+                        "bench '%s' with %llu point(s) (grid %016llx, "
+                        "net v%llu); this worker built '%s' with %llu "
+                        "(grid %016llx, net v%llu)\n",
+                        hello.bench.c_str(),
+                        static_cast<unsigned long long>(
+                            hello.gridPoints),
+                        static_cast<unsigned long long>(hello.gridHash),
+                        static_cast<unsigned long long>(
+                            hello.netVersion),
+                        mine.bench.c_str(),
+                        static_cast<unsigned long long>(mine.gridPoints),
+                        static_cast<unsigned long long>(mine.gridHash),
+                        static_cast<unsigned long long>(
+                            mine.netVersion));
+                    return ChannelEnd::kMismatch;
+                }
+                if (offer == nullptr)
+                    channel.send(net::FrameType::kWire,
+                                 wire::encodeHelloLine(mine));
+                joined = true;
+                continue;
+            }
+            if (record.type != wire::Record::Type::kPoint) {
+                std::fprintf(stderr, "[net] unexpected record from "
+                                     "coordinator\n");
+                return ChannelEnd::kLost;
+            }
+            hooks.onPoint(record.point.index);
+            const GridPoint &point = record.point.point;
+            ExperimentResult result =
+                pool.at(point.threads).run(point.workload, point.config);
+            channel.send(net::FrameType::kWire,
+                         wire::encodeResultLine(
+                             {record.point.index, std::move(result)}));
+        }
+        if (io == net::FrameChannel::Io::kClosed)
+            break;
+    }
+    return ChannelEnd::kLost;
+}
 
 /** Ascending-order result merger: slots fill in any order, the sink
  *  fires strictly in order as the completed prefix grows. */
@@ -152,8 +278,22 @@ RunnerPool::at(unsigned threads)
 }
 
 ShardedSweep::ShardedSweep(RunnerPool &pool, unsigned jobs)
-    : pool_(pool), jobs_(jobs > 0 ? jobs : Sweep::defaultJobs())
+    : pool_(pool), jobs_(jobs > 0 ? jobs : defaultJobs())
 {
+}
+
+unsigned
+ShardedSweep::defaultJobs()
+{
+    if (const char *env = std::getenv("ACR_JOBS")) {
+        long long value = 0;
+        if (parseStrictInt(env, value) && value > 0 &&
+            value <= std::numeric_limits<unsigned>::max())
+            return static_cast<unsigned>(value);
+        warn("ignoring ACR_JOBS='%s' (want a positive integer)", env);
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? hw : 1;
 }
 
 std::vector<std::size_t>
@@ -216,13 +356,6 @@ ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
     const auto wall_start = std::chrono::steady_clock::now();
     std::vector<double> point_millis(indices.size(), 0.0);
 
-    auto cached =
-        [&](std::size_t grid_index) -> const ExperimentResult * {
-        if (controls.cache == nullptr)
-            return nullptr;
-        const auto hit = controls.cache->find(grid_index);
-        return hit == controls.cache->end() ? nullptr : &hit->second;
-    };
     double journal_hits = 0.0;
 
     std::vector<ExperimentResult> results;
@@ -233,7 +366,7 @@ ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
         results.resize(indices.size());
         for (std::size_t slot = 0; slot < indices.size(); ++slot) {
             const std::size_t grid_index = indices[slot];
-            if (const auto *hit = cached(grid_index)) {
+            if (const auto *hit = cachedResult(controls, grid_index)) {
                 results[slot] = *hit;
                 ++journal_hits;
             } else {
@@ -255,7 +388,7 @@ ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
         // slots (from_cache is read-only once they start).
         std::vector<bool> from_cache(indices.size(), false);
         for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-            if (const auto *hit = cached(indices[slot])) {
+            if (const auto *hit = cachedResult(controls, indices[slot])) {
                 from_cache[slot] = true;
                 ++journal_hits;
                 merger.deliver(slot, *hit);
@@ -307,23 +440,12 @@ ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
 }
 
 std::vector<ExperimentResult>
-ShardedSweep::runForked(const std::vector<GridPoint> &points,
-                        unsigned workers,
-                        const std::vector<std::string> &workerCmd,
-                        Shard shard, const OrderedSink &sink)
+ShardedSweep::runDistributed(const std::vector<GridPoint> &points,
+                             Shard shard,
+                             const std::vector<std::string> &workerCmd,
+                             Supervisor::NetOptions net,
+                             const SweepControls &controls)
 {
-    SweepControls controls;
-    controls.sink = sink;
-    return runForked(points, workers, workerCmd, shard, controls);
-}
-
-std::vector<ExperimentResult>
-ShardedSweep::runForked(const std::vector<GridPoint> &points,
-                        unsigned workers,
-                        const std::vector<std::string> &workerCmd,
-                        Shard shard, const SweepControls &controls)
-{
-    ACR_ASSERT(!workerCmd.empty(), "empty worker command");
     for (const auto &point : points)
         if (point.config.trace != nullptr)
             fatal("GridPoint trace sinks cannot cross a process "
@@ -351,13 +473,7 @@ ShardedSweep::runForked(const std::vector<GridPoint> &points,
     std::vector<Supervisor::Task> tasks;
     for (std::size_t slot = 0; slot < indices.size(); ++slot) {
         const std::size_t grid_index = indices[slot];
-        const ExperimentResult *hit = nullptr;
-        if (controls.cache != nullptr) {
-            const auto found = controls.cache->find(grid_index);
-            if (found != controls.cache->end())
-                hit = &found->second;
-        }
-        if (hit != nullptr) {
+        if (const auto *hit = cachedResult(controls, grid_index)) {
             results[slot] = *hit;
             done[slot] = true;
             ++journal_hits;
@@ -367,13 +483,16 @@ ShardedSweep::runForked(const std::vector<GridPoint> &points,
     }
     flushReady();
 
+    const bool local = !workerCmd.empty();
     StatSet supervision;
     if (!tasks.empty()) {
-        Supervisor::Options options = controls.supervise;
-        options.workers = workers == 0 ? 1 : workers;
-        Supervisor supervisor(workerCmd, options);
+        net.gridPoints = points.size();
+        net.gridHash = wire::gridHash(points);
+        Supervisor supervisor =
+            local ? Supervisor(workerCmd, controls.supervise)
+                  : Supervisor(controls.supervise);
         supervisor.run(
-            tasks,
+            tasks, net,
             [&](const Supervisor::Task &task, ExperimentResult result) {
                 if (controls.completed)
                     controls.completed(task.gridIndex, result);
@@ -388,99 +507,17 @@ ShardedSweep::runForked(const std::vector<GridPoint> &points,
                next_emit, indices.size());
 
     hostStats_.clear();
-    hostStats_.set("sweep.forkedWorkers",
-                   static_cast<double>(std::min<std::size_t>(
-                       workers == 0 ? 1 : workers,
-                       tasks.empty() ? 1 : tasks.size())));
-    hostStats_.set("sweep.points", static_cast<double>(indices.size()));
-    hostStats_.set("sweep.wallMillis", millisSince(wall_start));
-    if (controls.cache != nullptr)
-        hostStats_.set("sweep.journalHits", journal_hits);
-    hostStats_.merge(supervision);
-    return results;
-}
-
-std::vector<ExperimentResult>
-ShardedSweep::runDistributed(const std::vector<GridPoint> &points,
-                             const net::Endpoint &listen,
-                             unsigned heartbeatSec,
-                             const std::string &bench,
-                             const SweepControls &controls)
-{
-    for (const auto &point : points)
-        if (point.config.trace != nullptr)
-            fatal("GridPoint trace sinks cannot cross a process "
-                  "boundary; use the in-process executor");
-
-    const auto indices = shardIndices(points.size(), {});
-    const auto wall_start = std::chrono::steady_clock::now();
-
-    // Identical ordered-merge scaffolding to runForked: delivery is
-    // completion-order, the sink fires as the completed prefix grows.
-    std::vector<ExperimentResult> results(indices.size());
-    std::vector<bool> done(indices.size(), false);
-    std::size_t next_emit = 0;
-    auto flushReady = [&] {
-        while (next_emit < indices.size() && done[next_emit]) {
-            if (controls.sink)
-                controls.sink(indices[next_emit], results[next_emit]);
-            ++next_emit;
-        }
-    };
-
-    double journal_hits = 0.0;
-    std::vector<Supervisor::Task> tasks;
-    for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-        const std::size_t grid_index = indices[slot];
-        const ExperimentResult *hit = nullptr;
-        if (controls.cache != nullptr) {
-            const auto found = controls.cache->find(grid_index);
-            if (found != controls.cache->end())
-                hit = &found->second;
-        }
-        if (hit != nullptr) {
-            results[slot] = *hit;
-            done[slot] = true;
-            ++journal_hits;
-        } else {
-            tasks.push_back({slot, grid_index, &points[grid_index]});
-        }
+    // reportTiming() tells the modes apart by these keys, so set them
+    // even when no fleet ever started (a fully served grid).
+    if (local) {
+        hostStats_.set("sweep.forkedWorkers",
+                       static_cast<double>(std::min<std::size_t>(
+                           std::max(1u, controls.supervise.workers),
+                           tasks.empty() ? 1 : tasks.size())));
+    } else {
+        hostStats_.set("sweep.netJoins", 0.0);
+        hostStats_.set("sweep.netLeaves", 0.0);
     }
-    flushReady();
-
-    StatSet supervision;
-    if (!tasks.empty()) {
-        Supervisor supervisor(controls.supervise);
-        Supervisor::NetOptions net_options;
-        net_options.listen = listen;
-        net_options.heartbeatSec = heartbeatSec;
-        net_options.bench = bench;
-        net_options.gridPoints = points.size();
-        net_options.gridHash = wire::gridHash(points);
-        supervisor.runListen(
-            tasks, net_options,
-            [&](const Supervisor::Task &task, ExperimentResult result) {
-                if (controls.completed)
-                    controls.completed(task.gridIndex, result);
-                results[task.slot] = std::move(result);
-                done[task.slot] = true;
-                flushReady();
-            },
-            supervision);
-    }
-    ACR_ASSERT(next_emit == indices.size(),
-               "distributed sweep finished with %zu of %zu slots",
-               next_emit, indices.size());
-
-    hostStats_.clear();
-    // Zero-seed the counters so a fully-served grid (runListen never
-    // ran) still reports as a distributed sweep; merge accumulates.
-    hostStats_.set("sweep.netJoins", 0.0);
-    hostStats_.set("sweep.netLeaves", 0.0);
-    hostStats_.set("sweep.retries", 0.0);
-    hostStats_.set("sweep.workerCrashes", 0.0);
-    hostStats_.set("sweep.watchdogKills", 0.0);
-    hostStats_.set("sweep.quarantined", 0.0);
     hostStats_.set("sweep.points", static_cast<double>(indices.size()));
     hostStats_.set("sweep.wallMillis", millisSince(wall_start));
     if (controls.cache != nullptr)
@@ -511,7 +548,6 @@ ShardedSweep::netWorkerLoop(RunnerPool &pool, const std::string &bench,
     identity.gridPoints = grid.size();
     identity.gridHash = wire::gridHash(grid);
     identity.netVersion = net::kProtocolVersion;
-    const std::string hello_line = wire::encodeHelloLine(identity);
 
     using Clock = std::chrono::steady_clock;
     const auto window =
@@ -519,178 +555,64 @@ ShardedSweep::netWorkerLoop(RunnerPool &pool, const std::string &bench,
     auto down_since = Clock::now();
     bool ever_joined = false;
 
-    // Reconnect window exhausted: a worker that saw the sweep is a
-    // clean straggler (the coordinator finished and left), one that
-    // never reached a coordinator is an error.
-    auto giveUp = [&](const std::string &why) -> int {
-        std::fprintf(stderr,
-                     "[net] giving up on %s after %llus "
-                     "disconnected: %s\n",
-                     coordinator.describe().c_str(),
-                     static_cast<unsigned long long>(heartbeatSec) *
-                         10,
-                     why.c_str());
-        return ever_joined ? 0 : 1;
-    };
-
     while (true) {
         std::string error;
         const int fd = net::connectOnce(coordinator, error);
         if (fd < 0) {
-            if (Clock::now() - down_since > window)
-                return giveUp(error);
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(100));
-            continue;
-        }
-
-        net::FrameChannel channel(fd, &fault);
-        channel.send(net::FrameType::kWire, hello_line);
-        bool joined = false;
-
-        while (channel.isOpen()) {
-            if (channel.flushWrites(error) ==
-                net::FrameChannel::Io::kClosed)
-                break;
-            pollfd pfd{channel.fd(), POLLIN, 0};
-            if (channel.wantsWrite())
-                pfd.events |= POLLOUT;
-            const int rc = ::poll(&pfd, 1, 200);
-            if (rc < 0 && errno != EINTR)
-                fatal("poll: %s", std::strerror(errno));
-            down_since = Clock::now();  // connected counts as healthy
-            if (rc <= 0)
+            if (Clock::now() - down_since <= window) {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(100));
                 continue;
-            std::vector<net::Frame> frames;
-            const auto io = channel.readFrames(frames, error);
-            for (const auto &frame : frames) {
-                if (frame.type == net::FrameType::kPing) {
-                    channel.send(net::FrameType::kPong, "");
-                    continue;
-                }
-                if (frame.type == net::FrameType::kShutdown) {
-                    // Clean end of sweep.
-                    std::string ignored;
-                    channel.flushWrites(ignored);
-                    return 0;
-                }
-                if (frame.type != net::FrameType::kWire)
-                    continue;  // a stray pong is harmless
-                wire::Record record;
-                try {
-                    record = wire::decodeLine(frame.payload);
-                } catch (const serde::SerdeError &err) {
-                    std::fprintf(stderr,
-                                 "[net] protocol error from "
-                                 "coordinator: %s\n",
-                                 err.what());
-                    channel.close();
-                    break;
-                }
-                if (!joined) {
-                    if (record.type != wire::Record::Type::kHello) {
-                        std::fprintf(stderr,
-                                     "[net] coordinator spoke before "
-                                     "its hello\n");
-                        channel.close();
-                        break;
-                    }
-                    const auto &hello = record.hello;
-                    if (hello.netVersion != net::kProtocolVersion ||
-                        hello.bench != identity.bench ||
-                        hello.gridPoints != identity.gridPoints ||
-                        hello.gridHash != identity.gridHash) {
-                        // Version/bench/grid skew cannot heal by
-                        // reconnecting: report and exit nonzero.
-                        std::fprintf(
-                            stderr,
-                            "[net] handshake mismatch: coordinator "
-                            "runs bench '%s' with %llu point(s) "
-                            "(grid %016llx, net v%llu); this worker "
-                            "built '%s' with %llu (grid %016llx, "
-                            "net v%llu)\n",
-                            hello.bench.c_str(),
-                            static_cast<unsigned long long>(
-                                hello.gridPoints),
-                            static_cast<unsigned long long>(
-                                hello.gridHash),
-                            static_cast<unsigned long long>(
-                                hello.netVersion),
-                            identity.bench.c_str(),
-                            static_cast<unsigned long long>(
-                                identity.gridPoints),
-                            static_cast<unsigned long long>(
-                                identity.gridHash),
-                            static_cast<unsigned long long>(
-                                identity.netVersion));
-                        return 1;
-                    }
-                    joined = true;
-                    ever_joined = true;
-                    continue;
-                }
-                if (record.type != wire::Record::Type::kPoint) {
-                    std::fprintf(stderr,
-                                 "[net] unexpected record from "
-                                 "coordinator\n");
-                    channel.close();
-                    break;
-                }
-                hooks.onPoint(record.point.index);
-                const GridPoint &point = record.point.point;
-                ExperimentResult result =
-                    pool.at(point.threads)
-                        .run(point.workload, point.config);
-                channel.send(net::FrameType::kWire,
-                             wire::encodeResultLine(
-                                 {record.point.index,
-                                  std::move(result)}));
             }
-            if (io == net::FrameChannel::Io::kClosed)
-                break;
+            // Reconnect window exhausted: a worker that saw the sweep
+            // is a clean straggler (the coordinator finished and
+            // left), one that never reached a coordinator is an error.
+            std::fprintf(stderr,
+                         "[net] giving up on %s after %llus "
+                         "disconnected: %s\n",
+                         coordinator.describe().c_str(),
+                         static_cast<unsigned long long>(heartbeatSec) *
+                             10,
+                         error.c_str());
+            return ever_joined ? 0 : 1;
         }
-
+        net::FrameChannel channel(fd, &fault);
+        bool joined = false;
+        const ChannelEnd end =
+            serveChannel(pool, channel, &identity, hooks, joined, error);
+        ever_joined = ever_joined || joined;
+        down_since = Clock::now();  // connected counts as healthy
+        if (end == ChannelEnd::kShutdown)
+            return 0;
+        if (end == ChannelEnd::kMismatch)
+            return 1;  // version/bench/grid skew: reconnecting is futile
         if (!error.empty())
             std::fprintf(stderr, "[net] connection to %s lost: %s\n",
                          coordinator.describe().c_str(),
                          error.c_str());
-        if (Clock::now() - down_since > window)
-            return giveUp(error.empty() ? "connection lost" : error);
     }
 }
 
 int
-ShardedSweep::workerLoop(RunnerPool &pool, std::istream &in,
-                         std::ostream &out)
+ShardedSweep::childWorkerLoop(RunnerPool &pool, int fd)
 {
+    std::signal(SIGPIPE, SIG_IGN);
     WorkerHooks hooks = WorkerHooks::fromEnv();
-
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        wire::Record record;
-        try {
-            record = wire::decodeLine(line);
-        } catch (const serde::SerdeError &error) {
-            std::fprintf(stderr, "sweep worker: %s\n", error.what());
-            return 1;
-        }
-        if (record.type != wire::Record::Type::kPoint) {
-            std::fprintf(stderr,
-                         "sweep worker: expected a point record\n");
-            return 1;
-        }
-        hooks.onPoint(record.point.index);
-        const GridPoint &point = record.point.point;
-        ExperimentResult result =
-            pool.at(point.threads).run(point.workload, point.config);
-        out << wire::encodeResultLine(
-                   {record.point.index, std::move(result)})
-            << "\n"
-            << std::flush;
-    }
-    return 0;
+    net::FaultPlan fault =
+        hooks.respawned ? net::FaultPlan{} : net::FaultPlan::fromEnv();
+    const int flags = ::fcntl(fd, F_GETFL, 0);
+    if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0)
+        fatal("fcntl(O_NONBLOCK): %s", std::strerror(errno));
+    net::FrameChannel channel(fd, &fault);
+    bool joined = false;
+    std::string error;
+    const ChannelEnd end =
+        serveChannel(pool, channel, nullptr, hooks, joined, error);
+    if (end == ChannelEnd::kShutdown)
+        return 0;
+    if (!error.empty())
+        std::fprintf(stderr, "sweep worker: %s\n", error.c_str());
+    return 1;
 }
 
 std::string

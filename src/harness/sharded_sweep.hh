@@ -1,22 +1,23 @@
 /**
  * @file
- * ShardedSweep: the multi-process successor of harness::Sweep. A
- * coordinator enumerates an experiment grid (std::vector<GridPoint>),
- * partitions it deterministically — `--shard=i/N` carves out every
- * N-th point for static machine-level sharding, and a local mode
- * fork/execs `--worker` child processes of the same bench binary —
- * and merges results back **in submission order**, so the rendered
- * output is bit-identical to a `--jobs=1` single-process run no
- * matter how the work was spread.
+ * ShardedSweep: the one sweep executor. A coordinator enumerates an
+ * experiment grid (std::vector<GridPoint>), partitions it
+ * deterministically — `--shard=i/N` carves out every N-th point for
+ * static machine-level sharding — runs its slice on in-process threads
+ * or on a supervised fleet of worker processes (local `--worker`
+ * children or `--connect` workers), and merges results back **in
+ * submission order**, so the rendered output is bit-identical to a
+ * `--jobs=1` single-process run no matter how the work was spread.
  *
- * Workers speak the wire format (harness/wire.hh): the coordinator
- * streams PointRecords to a worker's stdin and reads ResultRecords
- * from its stdout as line-delimited JSON, one flushed line per
- * finished experiment, so results arrive (and the ordered sink fires)
- * as they land rather than at an end-of-sweep barrier.
+ * Worker processes speak the wire format (harness/wire.hh) inside
+ * length-delimited frames (harness/net.hh): a hello each way, then one
+ * point record out and one result record back per experiment, so
+ * results arrive (and the ordered sink fires) as they land rather than
+ * at an end-of-sweep barrier.
  *
- * Simulated results never contain host timing (see Sweep); wall-clock
- * observations live in hostStats().
+ * Host-side timing is deliberately kept OUT of ExperimentResult —
+ * wall-clock depends on scheduling, and results must not — and lives
+ * in hostStats() instead.
  */
 
 #ifndef ACR_HARNESS_SHARDED_SWEEP_HH
@@ -98,8 +99,8 @@ class ShardedSweep
 
     /**
      * Everything a fault-tolerant sweep threads through the executor
-     * beyond the grid itself. Plain run()/runForked() overloads
-     * taking an OrderedSink forward here with the defaults.
+     * beyond the grid itself. The plain run() overload taking an
+     * OrderedSink forwards here with the defaults.
      */
     struct SweepControls
     {
@@ -117,16 +118,20 @@ class ShardedSweep
          */
         const std::map<std::size_t, ExperimentResult> *cache = nullptr;
 
-        /** Retry/backoff/watchdog knobs for the forked executor
-         *  (workers is overridden by runForked's argument). */
+        /** Fleet size (local fleet) and retry/backoff/watchdog knobs
+         *  for the supervised executor. */
         Supervisor::Options supervise;
     };
 
     /**
      * @param pool shared Runner cache; not owned
-     * @param jobs in-process worker threads (0: Sweep::defaultJobs())
+     * @param jobs in-process worker threads (0: defaultJobs())
      */
     explicit ShardedSweep(RunnerPool &pool, unsigned jobs = 0);
+
+    /** The --jobs default: ACR_JOBS if set to a positive integer, else
+     *  std::thread::hardware_concurrency(). */
+    static unsigned defaultJobs();
 
     unsigned jobs() const { return jobs_; }
 
@@ -140,7 +145,9 @@ class ShardedSweep
     /**
      * Execute this shard's slice of @p points on the in-process thread
      * pool. Returns the owned results in ascending grid-index order
-     * (all of them when shard is the default whole-grid 0/1).
+     * (all of them when shard is the default whole-grid 0/1). Points
+     * must be independent: a non-null config.trace sink must not be
+     * shared between points (trace sinks are not synchronized).
      */
     std::vector<ExperimentResult>
     run(const std::vector<GridPoint> &points, Shard shard = {},
@@ -154,41 +161,26 @@ class ShardedSweep
         const SweepControls &controls);
 
     /**
-     * Execute this shard's slice on up to @p workers forked child
-     * processes running @p workerCmd (argv of a `--worker` invocation
-     * of the same bench binary; resolve via selfExecutable()),
-     * supervised by harness::Supervisor: points are assigned
-     * one-at-a-time to idle workers, a crashed or wedged worker is
-     * replaced and its in-flight point retried with backoff, and a
-     * point that exhausts its retries is delivered as an
-     * ExperimentResult::quarantined placeholder.
+     * Supervised multi-process execution of this shard's slice
+     * (DESIGN.md §15) via Supervisor::run: points are dealt one at a
+     * time to idle framed-channel members, a lost or wedged member's
+     * point is retried with backoff, and a point that exhausts its
+     * retries is delivered as an ExperimentResult::quarantined
+     * placeholder. With @p workerCmd (argv of a `--worker` invocation
+     * of this binary; see selfExecutable()) the fleet is
+     * controls.supervise.workers local children (`--forks`); without,
+     * it is whatever `--connect` workers dial @p net.listen
+     * (`--listen`), which may churn freely. @p net supplies the bench
+     * name and heartbeat; the grid identity is filled in here.
+     * Cached points (journal / result cache) are served
+     * coordinator-side and never dealt; a fully served grid returns
+     * without starting a fleet. The same ordered merge applies, so
+     * rendered output stays byte-identical to a local `--jobs=1` run.
      */
     std::vector<ExperimentResult>
-    runForked(const std::vector<GridPoint> &points, unsigned workers,
-              const std::vector<std::string> &workerCmd,
-              Shard shard = {}, const OrderedSink &sink = {});
-
-    /** As above, with the full fault-tolerance controls. */
-    std::vector<ExperimentResult>
-    runForked(const std::vector<GridPoint> &points, unsigned workers,
-              const std::vector<std::string> &workerCmd, Shard shard,
-              const SweepControls &controls);
-
-    /**
-     * Distributed mode (`--listen`, DESIGN.md §15): accept TCP
-     * `--connect` workers on @p listen and deal the whole grid to
-     * whatever fleet shows up, via Supervisor::runListen — elastic
-     * membership, the shared retry/backoff/quarantine ladder, and the
-     * same ordered merge, so rendered output stays byte-identical to
-     * a local `--jobs=1` run no matter how the fleet churned. Cached
-     * points (journal / result cache) are served coordinator-side and
-     * never dealt; a fully served grid returns without ever
-     * listening.
-     */
-    std::vector<ExperimentResult>
-    runDistributed(const std::vector<GridPoint> &points,
-                   const net::Endpoint &listen, unsigned heartbeatSec,
-                   const std::string &bench,
+    runDistributed(const std::vector<GridPoint> &points, Shard shard,
+                   const std::vector<std::string> &workerCmd,
+                   Supervisor::NetOptions net,
                    const SweepControls &controls);
 
     /**
@@ -204,9 +196,9 @@ class ShardedSweep
      * (version/bench/grid skew) exits 1 immediately: reconnecting
      * cannot fix it.
      *
-     * The workerLoop fault hooks apply here too, and ACR_NET_FAULT
-     * (net::FaultPlan) arms one transport fault on outbound frames,
-     * with ordinals counted across reconnects.
+     * The childWorkerLoop fault hooks apply here too, and
+     * ACR_NET_FAULT (net::FaultPlan) arms one transport fault on
+     * outbound frames, with ordinals counted across reconnects.
      */
     static int netWorkerLoop(RunnerPool &pool, const std::string &bench,
                              const std::vector<GridPoint> &grid,
@@ -214,35 +206,39 @@ class ShardedSweep
                              unsigned heartbeatSec);
 
     /**
-     * The `--worker` side: read PointRecord lines from @p in until
-     * EOF, execute each against @p pool, and write one flushed
-     * ResultRecord line to @p out per point. Returns a process exit
-     * code (nonzero after a malformed record).
+     * The `--worker` side of a local fleet: serve the framed channel
+     * on @p fd (a socketpair end on stdin) — the same per-connection
+     * loop as netWorkerLoop, minus its reconnects. The worker never
+     * enumerates the grid: it checks only the protocol version of
+     * the coordinator's hello, echoes the identity back, and
+     * simulates the fully serialized points it is dealt. Returns 0
+     * after the coordinator's shutdown frame, nonzero when the
+     * channel closes or breaks first. Takes ownership of @p fd.
      *
      * Fault-injection hooks for the supervisor tests (inert unless
      * the environment variables are set): ACR_TEST_CRASH_AT=k
      * _exit(42)s before answering the k-th point this process reads;
      * ACR_TEST_WEDGE_AT=k blocks forever there instead (watchdog
-     * bait). Both are suppressed when ACR_TEST_RESPAWNED is set (the
-     * supervisor marks replacement workers), so a retry succeeds.
-     * ACR_TEST_CRASH_INDEX=g is sticky: every worker _exit(43)s on
-     * grid index g, forcing quarantine.
+     * bait). Both, and ACR_NET_FAULT, are suppressed when
+     * ACR_TEST_RESPAWNED is set (the supervisor marks replacement
+     * workers), so a retry succeeds. ACR_TEST_CRASH_INDEX=g is
+     * sticky: every worker _exit(43)s on grid index g, forcing
+     * quarantine.
      */
-    static int workerLoop(RunnerPool &pool, std::istream &in,
-                          std::ostream &out);
+    static int childWorkerLoop(RunnerPool &pool, int fd);
 
     /** Path of the running binary (/proc/self/exe), for workerCmd;
      *  falls back to @p argv0. */
     static std::string selfExecutable(const std::string &argv0);
 
-    /** Host-side timing of the most recent run()/runForked():
+    /** Host-side timing of the most recent run()/runDistributed():
      *  sweep.jobs or sweep.forkedWorkers, sweep.points,
      *  sweep.wallMillis, and for in-process runs sweep.workMillis
      *  plus sweep.point.<index>.millis. With a journal cache,
-     *  sweep.journalHits; forked runs add the Supervisor counters
-     *  (sweep.respawns, sweep.retries, sweep.workerCrashes,
-     *  sweep.watchdogKills, sweep.quarantined); distributed runs add
-     *  sweep.netJoins and sweep.netLeaves. */
+     *  sweep.journalHits; supervised runs add the Supervisor counters
+     *  (sweep.retries, sweep.workerCrashes, sweep.watchdogKills,
+     *  sweep.quarantined, and sweep.respawns for a local fleet or
+     *  sweep.netJoins and sweep.netLeaves for a remote one). */
     const StatSet &hostStats() const { return hostStats_; }
 
     /** One-line wall/work summary of the last run. */

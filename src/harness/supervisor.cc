@@ -18,10 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <fstream>
-#include <iterator>
 #include <memory>
-#include <optional>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -41,25 +38,6 @@ secondsDuration(double seconds)
         std::chrono::duration<double>(seconds));
 }
 
-/** write(2) the whole buffer, retrying on EINTR; fatal() on error
- *  (used for the journal — worker pipes go through the nonblocking
- *  path below). */
-void
-writeAllFd(int fd, const std::string &bytes, const char *what)
-{
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            ::write(fd, bytes.data() + off, bytes.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal("writing %s: %s", what, std::strerror(errno));
-        }
-        off += static_cast<std::size_t>(n);
-    }
-}
-
 std::string
 describeStatus(int status)
 {
@@ -70,6 +48,25 @@ describeStatus(int status)
     return csprintf("ended with wait status %d", status);
 }
 
+/** Reap local child @p pid, SIGKILLing it once @p grace has passed
+ *  without it exiting on its own; returns its wait status. */
+int
+reapChild(pid_t pid, Clock::duration grace)
+{
+    const auto deadline = Clock::now() + grace;
+    int status = 0;
+    pid_t rc;
+    while ((rc = ::waitpid(pid, &status, WNOHANG)) == 0 &&
+           Clock::now() < deadline)
+        ::poll(nullptr, 0, 1);
+    if (rc == 0) {
+        ::kill(pid, SIGKILL);
+        while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+        }
+    }
+    return status;
+}
+
 /** One attempt of one task, with its backoff gate. */
 struct Attempt
 {
@@ -78,56 +75,25 @@ struct Attempt
     Clock::time_point readyAt;
 };
 
-/**
- * The one retry/backoff/quarantine ladder every executor shares
- * (forked and TCP alike): bump the failed attempt and either requeue
- * it behind its jittered backoff or quarantine it — delivered as the
- * placeholder result so the sweep completes around it.
- */
-void
-retryOrQuarantine(const Supervisor::Options &options, Attempt attempt,
-                  const std::string &reason, std::deque<Attempt> &queue,
-                  const Supervisor::Deliver &deliver,
-                  std::size_t &remaining, double &retries,
-                  double &quarantined)
+/** One member of the fleet: a forked local child or an accepted TCP
+ *  peer, both speaking framed wire records. */
+struct Member
 {
-    ++attempt.tries;
-    const std::size_t index = attempt.task.gridIndex;
-    if (attempt.tries > options.retries) {
-        ++quarantined;
-        std::fprintf(stderr,
-                     "[sweep] quarantining point %zu after %u "
-                     "attempt(s): %s\n",
-                     index, attempt.tries, reason.c_str());
-        deliver(attempt.task,
-                ExperimentResult::quarantined(attempt.tries, reason));
-        --remaining;
-    } else {
-        ++retries;
-        const double delay =
-            Supervisor::backoffSeconds(options, attempt.tries, index);
-        std::fprintf(stderr,
-                     "[sweep] point %zu failed (%s); retry %u/%u on a "
-                     "fresh worker in %.2fs\n",
-                     index, reason.c_str(), attempt.tries,
-                     options.retries, delay);
-        attempt.readyAt = Clock::now() + secondsDuration(delay);
-        queue.push_back(attempt);
-    }
-}
+    enum class State { kHandshake, kIdle, kBusy };
 
-/** A live worker child and its nonblocking pipe state. */
-struct Worker
-{
-    pid_t pid = -1;
-    int in = -1;   ///< parent → child stdin (point lines)
-    int out = -1;  ///< child stdout → parent (result lines)
-    std::string rbuf;
-    std::string wbuf;
-    bool busy = false;
-    Attempt attempt;  ///< valid while busy
-    Clock::time_point deadline;  ///< valid while busy w/ watchdog
-    std::optional<int> reapedStatus;  ///< set by the WNOHANG sweep
+    std::uint64_t id = 0;
+    pid_t pid = -1;  ///< local child; -1 for an accepted peer
+    net::FrameChannel channel;
+    State state = State::kHandshake;
+    Attempt attempt;             ///< valid while kBusy
+    Clock::time_point deadline;  ///< valid while kBusy w/ watchdog
+    Clock::time_point lastHeard;
+    Clock::time_point lastPing;
+
+    Member(std::uint64_t id_, pid_t pid_, int fd)
+        : id(id_), pid(pid_), channel(fd)
+    {
+    }
 };
 
 void
@@ -171,356 +137,20 @@ Supervisor::backoffSeconds(const Options &options, unsigned tries,
 }
 
 void
-Supervisor::run(const std::vector<Task> &tasks, const Deliver &deliver,
+Supervisor::run(const std::vector<Task> &tasks,
+                const NetOptions &net_options, const Deliver &deliver,
                 StatSet &stats)
-{
-    ACR_ASSERT(deliver, "supervisor needs a delivery sink");
-    ACR_ASSERT(!workerCmd_.empty(),
-               "forked run() needs a worker command (the net-only "
-               "constructor only supports runListen)");
-
-    // A write to a just-died worker must surface as EPIPE (triggering
-    // a retry), not kill the whole sweep.
-    std::signal(SIGPIPE, SIG_IGN);
-
-    double respawns = 0, retries = 0, crashes = 0, watchdog_kills = 0,
-           quarantined = 0;
-
-    std::deque<Attempt> queue;
-    for (const auto &task : tasks)
-        queue.push_back({task, 0, Clock::now()});
-
-    std::vector<std::unique_ptr<Worker>> workers;
-    std::size_t remaining = tasks.size();
-    const std::size_t initial_fleet = std::min<std::size_t>(
-        std::max(1u, options_.workers), tasks.size());
-    std::size_t total_spawned = 0;
-
-    auto spawn = [&]() {
-        int to_child[2], from_child[2];
-        if (::pipe2(to_child, O_CLOEXEC) != 0 ||
-            ::pipe2(from_child, O_CLOEXEC) != 0)
-            fatal("pipe2: %s", std::strerror(errno));
-        const bool respawn = total_spawned >= initial_fleet;
-        const pid_t pid = ::fork();
-        if (pid < 0)
-            fatal("fork: %s", std::strerror(errno));
-        if (pid == 0) {
-            // Child: stdin/stdout onto the pipes (dup2 clears
-            // O_CLOEXEC, so every other parent-held fd — including
-            // sibling workers' pipes — closes across exec; a dead
-            // sibling's pipe EOF therefore stays observable).
-            ::dup2(to_child[0], STDIN_FILENO);
-            ::dup2(from_child[1], STDOUT_FILENO);
-            if (respawn)
-                ::setenv("ACR_TEST_RESPAWNED", "1", 1);
-            std::vector<char *> argv;
-            argv.reserve(workerCmd_.size() + 1);
-            for (const auto &arg : workerCmd_)
-                argv.push_back(const_cast<char *>(arg.c_str()));
-            argv.push_back(nullptr);
-            ::execv(argv[0], argv.data());
-            std::fprintf(stderr, "execv %s: %s\n", argv[0],
-                         std::strerror(errno));
-            ::_exit(127);
-        }
-        ::close(to_child[0]);
-        ::close(from_child[1]);
-        setNonblocking(to_child[1]);
-        setNonblocking(from_child[0]);
-        auto worker = std::make_unique<Worker>();
-        worker->pid = pid;
-        worker->in = to_child[1];
-        worker->out = from_child[0];
-        workers.push_back(std::move(worker));
-        ++total_spawned;
-        if (respawn)
-            ++respawns;
-    };
-
-    auto eraseWorker = [&](Worker *worker) {
-        workers.erase(
-            std::find_if(workers.begin(), workers.end(),
-                         [&](const std::unique_ptr<Worker> &w) {
-                             return w.get() == worker;
-                         }));
-    };
-
-    // Tear the worker down and retry or quarantine its in-flight
-    // point. Invalidates `worker`.
-    auto failWorker = [&](Worker *worker, const std::string &reason) {
-        if (!worker->reapedStatus) {
-            ::kill(worker->pid, SIGKILL);
-            int status = 0;
-            while (::waitpid(worker->pid, &status, 0) < 0) {
-                if (errno != EINTR) {
-                    status = -1;
-                    break;
-                }
-            }
-        }
-        ::close(worker->in);
-        ::close(worker->out);
-        if (worker->busy)
-            retryOrQuarantine(options_, worker->attempt, reason, queue,
-                              deliver, remaining, retries,
-                              quarantined);
-        eraseWorker(worker);
-    };
-
-    // Flush wbuf opportunistically; on a hard write error rely on the
-    // read side (EOF) for the authoritative failure unless the error
-    // is immediate (EPIPE: the child is already gone).
-    auto flushWrites = [&](Worker *worker) -> bool {
-        while (!worker->wbuf.empty()) {
-            const ssize_t n =
-                ::write(worker->in, worker->wbuf.data(),
-                        worker->wbuf.size());
-            if (n > 0) {
-                worker->wbuf.erase(0, static_cast<std::size_t>(n));
-                continue;
-            }
-            if (n < 0 && errno == EINTR)
-                continue;
-            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-                return true;
-            failWorker(worker,
-                       csprintf("write to worker failed: %s",
-                                std::strerror(errno)));
-            return false;
-        }
-        return true;
-    };
-
-    // Drain readable result lines; returns false once the worker has
-    // been failed (crash, EOF, protocol violation).
-    auto drainReads = [&](Worker *worker) -> bool {
-        while (true) {
-            char chunk[65536];
-            const ssize_t n =
-                ::read(worker->out, chunk, sizeof(chunk));
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                if (errno == EAGAIN || errno == EWOULDBLOCK)
-                    return true;
-                failWorker(worker,
-                           csprintf("read from worker failed: %s",
-                                    std::strerror(errno)));
-                return false;
-            }
-            if (n == 0) {
-                // EOF: the child is gone; report how it died.
-                ++crashes;
-                int status = 0;
-                std::string how = "pipe closed";
-                if (worker->reapedStatus) {
-                    how = describeStatus(*worker->reapedStatus);
-                } else {
-                    pid_t reaped;
-                    while ((reaped = ::waitpid(worker->pid, &status,
-                                               WNOHANG)) < 0 &&
-                           errno == EINTR) {
-                    }
-                    if (reaped == worker->pid) {
-                        worker->reapedStatus = status;
-                        how = describeStatus(status);
-                    }
-                }
-                failWorker(worker, "worker " + how);
-                return false;
-            }
-            worker->rbuf.append(chunk, static_cast<std::size_t>(n));
-            std::size_t newline;
-            while ((newline = worker->rbuf.find('\n')) !=
-                   std::string::npos) {
-                const std::string line =
-                    worker->rbuf.substr(0, newline);
-                worker->rbuf.erase(0, newline + 1);
-                wire::Record record;
-                try {
-                    record = wire::decodeLine(line);
-                } catch (const serde::SerdeError &error) {
-                    failWorker(worker,
-                               csprintf("protocol error: %s",
-                                        error.what()));
-                    return false;
-                }
-                if (record.type != wire::Record::Type::kResult ||
-                    !worker->busy ||
-                    record.result.index !=
-                        worker->attempt.task.gridIndex) {
-                    failWorker(worker,
-                               "protocol error: unexpected record");
-                    return false;
-                }
-                deliver(worker->attempt.task,
-                        std::move(record.result.result));
-                worker->busy = false;
-                --remaining;
-            }
-        }
-    };
-
-    while (remaining > 0) {
-        // Reap crashed children (crash detection half 1; the pipe EOF
-        // is half 2 and carries the retry).
-        while (true) {
-            int status = 0;
-            const pid_t pid = ::waitpid(-1, &status, WNOHANG);
-            if (pid <= 0) {
-                if (pid < 0 && errno == EINTR)
-                    continue;
-                break;
-            }
-            for (auto &worker : workers)
-                if (worker->pid == pid)
-                    worker->reapedStatus = status;
-        }
-
-        // Keep the fleet at strength: one live worker per outstanding
-        // point, capped at --forks.
-        while (workers.size() <
-               std::min<std::size_t>(std::max(1u, options_.workers),
-                                     remaining))
-            spawn();
-
-        // Hand ready work to idle workers.
-        const auto now = Clock::now();
-        for (auto &worker : workers) {
-            if (worker->busy || queue.empty())
-                continue;
-            const auto ready = std::find_if(
-                queue.begin(), queue.end(), [&](const Attempt &a) {
-                    return a.readyAt <= now;
-                });
-            if (ready == queue.end())
-                break;
-            worker->attempt = *ready;
-            queue.erase(ready);
-            worker->busy = true;
-            worker->wbuf += wire::encodePointLine(
-                                {worker->attempt.task.gridIndex,
-                                 *worker->attempt.task.point}) +
-                            "\n";
-            if (options_.pointTimeoutSec > 0)
-                worker->deadline =
-                    now + secondsDuration(options_.pointTimeoutSec);
-        }
-
-        // Nearest wakeup: a watchdog deadline or a backoff expiry.
-        int timeout_ms = -1;
-        auto wakeAt = [&](Clock::time_point when) {
-            const auto delta =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    when - now)
-                    .count();
-            const int ms =
-                static_cast<int>(std::max<long long>(0, delta));
-            timeout_ms =
-                timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
-        };
-        for (const auto &worker : workers)
-            if (worker->busy && options_.pointTimeoutSec > 0)
-                wakeAt(worker->deadline);
-        for (const auto &attempt : queue)
-            wakeAt(attempt.readyAt);
-
-        std::vector<pollfd> fds;
-        std::vector<std::pair<pid_t, bool>> owners;  // pid, is_out
-        fds.reserve(workers.size() * 2);
-        for (const auto &worker : workers) {
-            fds.push_back({worker->out, POLLIN, 0});
-            owners.emplace_back(worker->pid, true);
-            if (!worker->wbuf.empty()) {
-                fds.push_back({worker->in, POLLOUT, 0});
-                owners.emplace_back(worker->pid, false);
-            }
-        }
-        const int rc =
-            ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                   timeout_ms);
-        if (rc < 0 && errno != EINTR)
-            fatal("poll: %s", std::strerror(errno));
-
-        auto findWorker = [&](pid_t pid) -> Worker * {
-            for (auto &worker : workers)
-                if (worker->pid == pid)
-                    return worker.get();
-            return nullptr;
-        };
-
-        if (rc > 0) {
-            for (std::size_t i = 0; i < fds.size(); ++i) {
-                if (fds[i].revents == 0)
-                    continue;
-                // The worker may have been failed (and erased) while
-                // handling an earlier fd this round.
-                Worker *worker = findWorker(owners[i].first);
-                if (worker == nullptr)
-                    continue;
-                if (owners[i].second)
-                    drainReads(worker);
-                else
-                    flushWrites(worker);
-            }
-        }
-
-        // Watchdog: SIGKILL a worker that has sat on one point past
-        // --point-timeout.
-        if (options_.pointTimeoutSec > 0) {
-            const auto check = Clock::now();
-            for (std::size_t i = 0; i < workers.size();) {
-                Worker *worker = workers[i].get();
-                if (worker->busy && check >= worker->deadline) {
-                    ++watchdog_kills;
-                    failWorker(
-                        worker,
-                        csprintf("point exceeded --point-timeout=%g s",
-                                 options_.pointTimeoutSec));
-                    // failWorker erased the worker; don't advance.
-                    continue;
-                }
-                ++i;
-            }
-        }
-    }
-
-    // Graceful shutdown: stdin EOF ends each worker loop.
-    for (const auto &worker : workers) {
-        ::close(worker->in);
-        ::close(worker->out);
-    }
-    for (const auto &worker : workers) {
-        int status = 0;
-        while (::waitpid(worker->pid, &status, 0) < 0) {
-            if (errno != EINTR)
-                break;
-        }
-    }
-    workers.clear();
-
-    stats.set("sweep.respawns", respawns);
-    stats.set("sweep.retries", retries);
-    stats.set("sweep.workerCrashes", crashes);
-    stats.set("sweep.watchdogKills", watchdog_kills);
-    stats.set("sweep.quarantined", quarantined);
-}
-
-void
-Supervisor::runListen(const std::vector<Task> &tasks,
-                      const NetOptions &net_options,
-                      const Deliver &deliver, StatSet &stats)
 {
     ACR_ASSERT(deliver, "supervisor needs a delivery sink");
     ACR_ASSERT(net_options.heartbeatSec > 0,
                "heartbeat must be positive");
+    const bool local = !workerCmd_.empty();
 
-    // A send to a just-vanished worker must surface as a closed
+    // A send to a just-vanished member must surface as a closed
     // channel (triggering a re-deal), not kill the coordinator.
     std::signal(SIGPIPE, SIG_IGN);
 
-    double retries = 0, losses = 0, watchdog_kills = 0,
+    double respawns = 0, retries = 0, losses = 0, watchdog_kills = 0,
            quarantined = 0, joins = 0, leaves = 0;
 
     std::deque<Attempt> queue;
@@ -528,34 +158,22 @@ Supervisor::runListen(const std::vector<Task> &tasks,
         queue.push_back({task, 0, Clock::now()});
     std::size_t remaining = tasks.size();
 
-    net::Endpoint bound;
-    const int listen_fd = net::listenOn(net_options.listen, bound);
-    std::fprintf(stderr, "[net] listening on %s\n",
-                 bound.describe().c_str());
+    int listen_fd = -1;
+    if (!local) {
+        net::Endpoint bound;
+        listen_fd = net::listenOn(net_options.listen, bound);
+        std::fprintf(stderr, "[net] listening on %s\n",
+                     bound.describe().c_str());
+    }
 
-    /** One connected (or connecting) TCP member of the fleet. */
-    struct NetWorker
-    {
-        enum class State { kHandshake, kIdle, kBusy };
-
-        std::uint64_t id = 0;
-        net::FrameChannel channel;
-        State state = State::kHandshake;
-        Attempt attempt;             ///< valid while kBusy
-        Clock::time_point deadline;  ///< valid while kBusy w/ watchdog
-        Clock::time_point lastHeard;
-        Clock::time_point lastPing;
-
-        NetWorker(std::uint64_t id_, int fd) : id(id_), channel(fd) {}
-    };
-    std::vector<std::unique_ptr<NetWorker>> workers;
+    std::vector<std::unique_ptr<Member>> members;
     std::uint64_t next_id = 1;
 
     const auto heartbeat = secondsDuration(net_options.heartbeatSec);
-    // An unresponsive *idle* peer is dropped after missing several
-    // heartbeats. A busy peer is single-threadedly simulating and
+    // An unresponsive *idle* member is dropped after missing several
+    // heartbeats. A busy member is single-threadedly simulating and
     // cannot answer pings, so only the --point-timeout watchdog (and
-    // TCP itself, for an outright death) covers it.
+    // the closed channel, for an outright death) covers it.
     const auto idle_timeout = heartbeat * 4;
     // With work queued and nobody connected, wait this long for a
     // (re)join before quarantining everything left — the sweep
@@ -570,48 +188,127 @@ Supervisor::runListen(const std::vector<Task> &tasks,
     identity.netVersion = net::kProtocolVersion;
     const std::string hello_line = wire::encodeHelloLine(identity);
 
-    auto eraseWorker = [&](NetWorker *worker) {
-        workers.erase(
-            std::find_if(workers.begin(), workers.end(),
-                         [&](const std::unique_ptr<NetWorker> &w) {
-                             return w.get() == worker;
-                         }));
+    // The local fleet's size, and a bound on children in a row that
+    // die before their handshake: past it the worker binary cannot
+    // start at all, and respawning it forever would spin.
+    const std::size_t fleet = std::min<std::size_t>(
+        std::max(1u, options_.workers), tasks.size());
+    const unsigned max_failed_starts =
+        std::max(1u, options_.workers) + options_.retries;
+    std::size_t spawned = 0;
+    unsigned failed_starts = 0;
+
+    auto admit = [&](pid_t pid, int fd) {
+        auto member = std::make_unique<Member>(next_id++, pid, fd);
+        member->lastHeard = member->lastPing = Clock::now();
+        member->channel.send(net::FrameType::kWire, hello_line);
+        members.push_back(std::move(member));
     };
 
-    // Drop the connection; a busy member's in-flight point re-enters
-    // the shared retry/backoff/quarantine ladder, an idle leave costs
-    // nothing. Invalidates `worker`.
-    auto dropWorker = [&](NetWorker *worker,
-                          const std::string &reason) {
-        if (worker->state != NetWorker::State::kHandshake)
-            ++leaves;
-        if (worker->state == NetWorker::State::kBusy) {
-            ++losses;
-            retryOrQuarantine(options_, worker->attempt, reason, queue,
-                              deliver, remaining, retries,
-                              quarantined);
-        } else {
-            std::fprintf(
-                stderr, "[net] worker #%llu left: %s\n",
-                static_cast<unsigned long long>(worker->id),
-                reason.c_str());
+    auto spawn = [&] {
+        int fds[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) !=
+            0)
+            fatal("socketpair: %s", std::strerror(errno));
+        const bool respawn = spawned++ >= fleet;
+        const pid_t pid = ::fork();
+        if (pid < 0)
+            fatal("fork: %s", std::strerror(errno));
+        if (pid == 0) {
+            // Child: the channel on stdin and stderr on stdout — the
+            // coordinator's stdout is the rendered output. dup2 clears
+            // O_CLOEXEC on fd 0 only, so every other coordinator fd
+            // (sibling channels included) closes across exec.
+            ::dup2(fds[1], STDIN_FILENO);
+            ::dup2(STDERR_FILENO, STDOUT_FILENO);
+            if (respawn)
+                ::setenv("ACR_TEST_RESPAWNED", "1", 1);
+            std::vector<char *> argv;
+            for (const auto &arg : workerCmd_)
+                argv.push_back(const_cast<char *>(arg.c_str()));
+            argv.push_back(nullptr);
+            ::execv(argv[0], argv.data());
+            std::fprintf(stderr, "execv %s: %s\n", argv[0],
+                         std::strerror(errno));
+            ::_exit(127);
         }
-        worker->channel.close();
-        eraseWorker(worker);
+        ::close(fds[1]);
+        setNonblocking(fds[0]);
+        if (respawn)
+            ++respawns;
+        admit(pid, fds[0]);
     };
 
-    // Apply one inbound frame; returns false once the worker has been
+    // Drop a member; a busy one's in-flight point re-enters the
+    // retry/backoff/quarantine ladder, an idle leave costs nothing. A
+    // local child is reaped: SIGKILLed at once unless its channel
+    // closed (it is already exiting), and then its wait status names
+    // the loss. Invalidates `member`.
+    auto dropMember = [&](Member *member, std::string reason,
+                          bool peer_closed) {
+        member->channel.close();
+        if (member->pid > 0) {
+            const int status = reapChild(
+                member->pid,
+                peer_closed ? heartbeat : Clock::duration::zero());
+            if (peer_closed)
+                reason = "worker " + describeStatus(status);
+            if (member->state == Member::State::kHandshake &&
+                ++failed_starts > max_failed_starts)
+                fatal("%u forked workers in a row ended before their "
+                      "handshake (last: %s)",
+                      failed_starts, reason.c_str());
+        } else if (member->state != Member::State::kBusy) {
+            std::fprintf(stderr, "[net] worker #%llu left: %s\n",
+                         static_cast<unsigned long long>(member->id),
+                         reason.c_str());
+        }
+        if (member->state != Member::State::kHandshake)
+            ++leaves;
+        if (member->state == Member::State::kBusy) {
+            ++losses;
+            Attempt attempt = member->attempt;
+            const std::size_t index = attempt.task.gridIndex;
+            if (++attempt.tries > options_.retries) {
+                ++quarantined;
+                std::fprintf(stderr,
+                             "[sweep] quarantining point %zu after %u "
+                             "attempt(s): %s\n",
+                             index, attempt.tries, reason.c_str());
+                deliver(attempt.task, ExperimentResult::quarantined(
+                                          attempt.tries, reason));
+                --remaining;
+            } else {
+                ++retries;
+                const double delay =
+                    backoffSeconds(options_, attempt.tries, index);
+                std::fprintf(stderr,
+                             "[sweep] point %zu failed (%s); retry "
+                             "%u/%u on a fresh worker in %.2fs\n",
+                             index, reason.c_str(), attempt.tries,
+                             options_.retries, delay);
+                attempt.readyAt = Clock::now() + secondsDuration(delay);
+                queue.push_back(attempt);
+            }
+        }
+        members.erase(std::find_if(
+            members.begin(), members.end(),
+            [&](const auto &m) { return m.get() == member; }));
+    };
+
+    // Apply one inbound frame; returns false once the member has been
     // dropped (protocol violation, handshake mismatch).
-    auto handleFrame = [&](NetWorker *worker,
+    auto handleFrame = [&](Member *member,
                            const net::Frame &frame) -> bool {
-        worker->lastHeard = Clock::now();
+        member->lastHeard = Clock::now();
         if (frame.type == net::FrameType::kPong)
             return true;
         if (frame.type != net::FrameType::kWire) {
-            dropWorker(worker,
+            dropMember(member,
                        csprintf("protocol error: unexpected frame "
                                 "type %u",
-                                static_cast<unsigned>(frame.type)));
+                                static_cast<unsigned>(frame.type)),
+                       false);
             return false;
         }
         wire::Record record;
@@ -621,14 +318,16 @@ Supervisor::runListen(const std::vector<Task> &tasks,
             // A garbled frame (or a skewed wire version — the record
             // envelope carries it) reads as a protocol error; the
             // member is dropped and any in-flight point re-dealt.
-            dropWorker(worker, csprintf("protocol error: %s",
-                                        error.what()));
+            dropMember(member,
+                       csprintf("protocol error: %s", error.what()),
+                       false);
             return false;
         }
-        if (worker->state == NetWorker::State::kHandshake) {
+        if (member->state == Member::State::kHandshake) {
             if (record.type != wire::Record::Type::kHello) {
-                dropWorker(worker,
-                           "protocol error: expected a hello record");
+                dropMember(member,
+                           "protocol error: expected a hello record",
+                           false);
                 return false;
             }
             const auto &hello = record.hello;
@@ -636,8 +335,8 @@ Supervisor::runListen(const std::vector<Task> &tasks,
                 hello.bench != identity.bench ||
                 hello.gridPoints != identity.gridPoints ||
                 hello.gridHash != identity.gridHash) {
-                dropWorker(
-                    worker,
+                dropMember(
+                    member,
                     csprintf("handshake mismatch: worker offers "
                              "bench '%s', %llu point(s), grid "
                              "%016llx, net v%llu",
@@ -647,103 +346,114 @@ Supervisor::runListen(const std::vector<Task> &tasks,
                              static_cast<unsigned long long>(
                                  hello.gridHash),
                              static_cast<unsigned long long>(
-                                 hello.netVersion)));
+                                 hello.netVersion)),
+                    false);
                 return false;
             }
-            worker->state = NetWorker::State::kIdle;
-            ++joins;
-            std::fprintf(stderr, "[net] worker #%llu joined\n",
-                         static_cast<unsigned long long>(worker->id));
+            member->state = Member::State::kIdle;
+            if (member->pid > 0) {
+                failed_starts = 0;
+            } else {
+                ++joins;
+                std::fprintf(stderr, "[net] worker #%llu joined\n",
+                             static_cast<unsigned long long>(member->id));
+            }
             return true;
         }
         if (record.type != wire::Record::Type::kResult ||
-            worker->state != NetWorker::State::kBusy ||
-            record.result.index != worker->attempt.task.gridIndex) {
-            dropWorker(worker, "protocol error: unexpected record");
+            member->state != Member::State::kBusy ||
+            record.result.index != member->attempt.task.gridIndex) {
+            dropMember(member, "protocol error: unexpected record",
+                       false);
             return false;
         }
-        deliver(worker->attempt.task, std::move(record.result.result));
-        worker->state = NetWorker::State::kIdle;
+        deliver(member->attempt.task, std::move(record.result.result));
+        member->state = Member::State::kIdle;
         --remaining;
         return true;
     };
 
     while (remaining > 0) {
+        if (local) {
+            // Keep the fleet at strength: one member per outstanding
+            // point, capped at --forks.
+            while (members.size() <
+                   std::min<std::size_t>(std::max(1u, options_.workers),
+                                         remaining))
+                spawn();
+        } else {
+            // Accept joiners — late ones included; membership is
+            // elastic.
+            while (true) {
+                const int fd = ::accept(listen_fd, nullptr, nullptr);
+                if (fd < 0) {
+                    if (errno == EINTR)
+                        continue;
+                    if (errno == EAGAIN || errno == EWOULDBLOCK)
+                        break;
+                    fatal("accept: %s", std::strerror(errno));
+                }
+                setNonblocking(fd);
+                const int one = 1;
+                ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
+                             sizeof(one));
+                admit(-1, fd);
+            }
+        }
         const auto now = Clock::now();
 
-        // Accept joiners — late ones included; membership is elastic.
-        while (true) {
-            const int fd = ::accept(listen_fd, nullptr, nullptr);
-            if (fd < 0) {
-                if (errno == EINTR)
-                    continue;
-                if (errno == EAGAIN || errno == EWOULDBLOCK)
-                    break;
-                fatal("accept: %s", std::strerror(errno));
-            }
-            setNonblocking(fd);
-            const int one = 1;
-            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                         sizeof(one));
-            auto worker = std::make_unique<NetWorker>(next_id++, fd);
-            worker->lastHeard = now;
-            worker->lastPing = now;
-            worker->channel.send(net::FrameType::kWire, hello_line);
-            workers.push_back(std::move(worker));
-        }
-
         // Deal ready work to idle members (dynamic work-stealing: the
-        // next free worker takes the next ready point, so a fleet of
+        // next free member takes the next ready point, so a fleet of
         // any changing size drains the same queue).
-        for (auto &worker : workers) {
-            if (worker->state != NetWorker::State::kIdle ||
-                queue.empty())
+        for (auto &member : members) {
+            if (member->state != Member::State::kIdle || queue.empty())
                 continue;
             const auto ready = std::find_if(
                 queue.begin(), queue.end(),
                 [&](const Attempt &a) { return a.readyAt <= now; });
             if (ready == queue.end())
                 break;
-            worker->attempt = *ready;
+            member->attempt = *ready;
             queue.erase(ready);
-            worker->state = NetWorker::State::kBusy;
-            worker->channel.send(
+            member->state = Member::State::kBusy;
+            member->channel.send(
                 net::FrameType::kWire,
                 wire::encodePointLine(
-                    {worker->attempt.task.gridIndex,
-                     *worker->attempt.task.point}));
+                    {member->attempt.task.gridIndex,
+                     *member->attempt.task.point}));
             if (options_.pointTimeoutSec > 0)
-                worker->deadline =
+                member->deadline =
                     now + secondsDuration(options_.pointTimeoutSec);
         }
 
-        // Heartbeats out; unresponsive idle peers and wedged busy
-        // peers dropped.
-        for (std::size_t i = 0; i < workers.size();) {
-            NetWorker *worker = workers[i].get();
-            if (now - worker->lastPing >= heartbeat) {
-                worker->lastPing = now;
-                worker->channel.send(net::FrameType::kPing, "");
+        // Heartbeats out; unresponsive idle members and wedged busy
+        // members dropped.
+        for (std::size_t i = 0; i < members.size();) {
+            Member *member = members[i].get();
+            if (now - member->lastPing >= heartbeat) {
+                member->lastPing = now;
+                member->channel.send(net::FrameType::kPing, "");
             }
-            if (worker->state != NetWorker::State::kBusy &&
-                now - worker->lastHeard > idle_timeout) {
-                dropWorker(worker, "heartbeat timeout");
-                continue;  // dropWorker erased workers[i]
+            if (member->state != Member::State::kBusy &&
+                now - member->lastHeard > idle_timeout) {
+                dropMember(member, "heartbeat timeout", false);
+                continue;  // dropMember erased members[i]
             }
-            if (worker->state == NetWorker::State::kBusy &&
+            if (member->state == Member::State::kBusy &&
                 options_.pointTimeoutSec > 0 &&
-                now >= worker->deadline) {
+                now >= member->deadline) {
                 ++watchdog_kills;
-                dropWorker(worker,
+                dropMember(member,
                            csprintf("point exceeded "
                                     "--point-timeout=%g s",
-                                    options_.pointTimeoutSec));
+                                    options_.pointTimeoutSec),
+                           false);
                 continue;
             }
             ++i;
         }
 
-        if (workers.empty()) {
+        if (members.empty()) {
             if (now - empty_since > join_grace) {
                 while (!queue.empty()) {
                     const Attempt attempt = queue.front();
@@ -781,21 +491,23 @@ Supervisor::runListen(const std::vector<Task> &tasks,
         };
         for (const auto &attempt : queue)
             wakeAt(attempt.readyAt);
-        for (const auto &worker : workers)
-            if (worker->state == NetWorker::State::kBusy &&
+        for (const auto &member : members)
+            if (member->state == Member::State::kBusy &&
                 options_.pointTimeoutSec > 0)
-                wakeAt(worker->deadline);
+                wakeAt(member->deadline);
 
         std::vector<pollfd> fds;
         std::vector<std::uint64_t> owner;
-        fds.push_back({listen_fd, POLLIN, 0});
-        owner.push_back(0);
-        for (const auto &worker : workers) {
+        if (listen_fd >= 0) {
+            fds.push_back({listen_fd, POLLIN, 0});
+            owner.push_back(0);
+        }
+        for (const auto &member : members) {
             short events = POLLIN;
-            if (worker->channel.wantsWrite())
+            if (member->channel.wantsWrite())
                 events |= POLLOUT;
-            fds.push_back({worker->channel.fd(), events, 0});
-            owner.push_back(worker->id);
+            fds.push_back({member->channel.fd(), events, 0});
+            owner.push_back(member->id);
         }
         const int rc =
             ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
@@ -805,71 +517,77 @@ Supervisor::runListen(const std::vector<Task> &tasks,
         if (rc <= 0)
             continue;
 
-        auto findWorker = [&](std::uint64_t id) -> NetWorker * {
-            for (auto &worker : workers)
-                if (worker->id == id)
-                    return worker.get();
-            return nullptr;
-        };
-
-        for (std::size_t i = 1; i < fds.size(); ++i) {
-            if (fds[i].revents == 0)
+        for (std::size_t i = 0; i < fds.size(); ++i) {
+            if (fds[i].revents == 0 || owner[i] == 0)
                 continue;
             // The member may have been dropped while handling an
             // earlier fd this round.
-            NetWorker *worker = findWorker(owner[i]);
-            if (worker == nullptr)
+            const auto found = std::find_if(
+                members.begin(), members.end(),
+                [&](const auto &m) { return m->id == owner[i]; });
+            if (found == members.end())
                 continue;
+            Member *member = found->get();
             std::vector<net::Frame> frames;
             std::string error;
-            const auto io = worker->channel.readFrames(frames, error);
+            const auto io = member->channel.readFrames(frames, error);
             // Complete frames that arrived ahead of a close still
             // count (a result racing its sender's crash lands).
             bool alive = true;
             for (const auto &frame : frames)
-                if (!(alive = handleFrame(worker, frame)))
+                if (!(alive = handleFrame(member, frame)))
                     break;
             if (!alive)
                 continue;
             if (io == net::FrameChannel::Io::kClosed) {
-                dropWorker(worker, error);
+                dropMember(member, error, true);
                 continue;
             }
-            if (worker->channel.flushWrites(error) ==
+            if (member->channel.flushWrites(error) ==
                 net::FrameChannel::Io::kClosed)
-                dropWorker(worker, error);
+                dropMember(member, error, true);
         }
     }
 
     // Sweep complete: tell every member to exit cleanly, with a short
     // best-effort flush (a stuck peer must not wedge the
-    // coordinator's own exit).
-    for (auto &worker : workers)
-        worker->channel.send(net::FrameType::kShutdown, "");
+    // coordinator's own exit), then reap the local children.
+    for (auto &member : members)
+        member->channel.send(net::FrameType::kShutdown, "");
     const auto flush_deadline = Clock::now() + std::chrono::seconds(2);
     while (Clock::now() < flush_deadline) {
         bool pending = false;
-        for (auto &worker : workers) {
+        for (auto &member : members) {
             std::string error;
-            if (worker->channel.isOpen() &&
-                worker->channel.flushWrites(error) ==
+            if (member->channel.isOpen() &&
+                member->channel.flushWrites(error) ==
                     net::FrameChannel::Io::kOk &&
-                worker->channel.wantsWrite())
+                member->channel.wantsWrite())
                 pending = true;
         }
         if (!pending)
             break;
         ::poll(nullptr, 0, 10);
     }
-    workers.clear();
-    ::close(listen_fd);
+    for (auto &member : members) {
+        member->channel.close();
+        if (member->pid > 0)
+            reapChild(member->pid, heartbeat);
+    }
+    members.clear();
+    if (listen_fd >= 0)
+        ::close(listen_fd);
 
     stats.set("sweep.retries", retries);
     stats.set("sweep.workerCrashes", losses);
     stats.set("sweep.watchdogKills", watchdog_kills);
     stats.set("sweep.quarantined", quarantined);
-    stats.set("sweep.netJoins", joins);
-    stats.set("sweep.netLeaves", leaves);
+    if (local) {
+        stats.set("sweep.respawns", respawns);
+    } else {
+        stats.set("sweep.netJoins", joins);
+        stats.set("sweep.netLeaves", leaves);
+    }
 }
 
 // --- Journal ---
@@ -885,41 +603,12 @@ Journal::open(const std::string &path, bool resume,
               std::uint64_t shard_count,
               const std::vector<GridPoint> &grid)
 {
-    ACR_ASSERT(fd_ < 0, "journal already open");
-    path_ = path;
     const std::uint64_t expect_hash = wire::gridHash(grid);
 
-    std::vector<std::string> lines;
-    // Byte offset one past each parsed line's newline; used to chop
-    // dropped tail bytes off the file so a resumed append never glues
-    // onto a torn partial record.
-    std::vector<std::size_t> line_ends;
     std::size_t durable_bytes = 0;
-    if (resume) {
-        std::ifstream in(path, std::ios::binary);
-        if (in) {
-            std::string content(
-                (std::istreambuf_iterator<char>(in)),
-                std::istreambuf_iterator<char>());
-            std::size_t start = 0;
-            while (start < content.size()) {
-                const std::size_t newline =
-                    content.find('\n', start);
-                if (newline == std::string::npos) {
-                    // Torn tail: the coordinator died mid-append;
-                    // that point simply reruns.
-                    warn("journal '%s': dropping torn final line",
-                         path.c_str());
-                    break;
-                }
-                lines.push_back(
-                    content.substr(start, newline - start));
-                start = newline + 1;
-                line_ends.push_back(start);
-            }
-            durable_bytes = line_ends.empty() ? 0 : line_ends.back();
-        }
-    }
+    std::vector<std::string> lines;
+    if (resume)
+        lines = log_.load(path, durable_bytes);
 
     if (!lines.empty()) {
         // Validate the header against the grid this invocation is
@@ -971,7 +660,7 @@ Journal::open(const std::string &path, bool resume,
                     warn("journal '%s': dropping unreadable final "
                          "record: %s",
                          path.c_str(), error.what());
-                    durable_bytes = line_ends[i - 1];
+                    durable_bytes -= lines[i].size() + 1;
                     break;
                 }
                 fatal("journal '%s' record %zu is corrupt: %s",
@@ -994,48 +683,26 @@ Journal::open(const std::string &path, bool resume,
                       path.c_str(), i + 1);
             }
         }
-
-        fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
-        if (fd_ < 0)
-            fatal("cannot reopen journal '%s': %s", path.c_str(),
-                  std::strerror(errno));
-        // Chop any dropped tail bytes so the next append starts on a
-        // clean line boundary instead of extending the torn remnant.
-        while (::ftruncate(fd_, static_cast<off_t>(durable_bytes)) <
-               0) {
-            if (errno != EINTR)
-                fatal("truncate journal '%s': %s", path.c_str(),
-                      std::strerror(errno));
-        }
+        log_.reopen(path, durable_bytes);
         return;
     }
 
     // Fresh journal (no --resume, missing file, or nothing durable in
     // it): truncate and write the identifying header.
-    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd_ < 0)
-        fatal("cannot create journal '%s': %s", path.c_str(),
-              std::strerror(errno));
     wire::ManifestRecord manifest;
     manifest.bench = bench;
     manifest.shard = shard_index;
     manifest.shardCount = shard_count;
     manifest.gridPoints = grid.size();
     manifest.gridHash = expect_hash;
-    writeAllFd(fd_, wire::encodeManifestLine(manifest) + "\n",
-               "journal");
-    while (::fsync(fd_) < 0) {
-        if (errno != EINTR)
-            fatal("fsync journal '%s': %s", path.c_str(),
-                  std::strerror(errno));
-    }
+    log_.create(path, wire::encodeManifestLine(manifest));
 }
 
 void
 Journal::failNextWriteForTest()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    failNextWrite_ = true;
+    log_.failNextWriteForTest();
 }
 
 void
@@ -1043,64 +710,19 @@ Journal::record(std::size_t gridIndex, const ExperimentResult &result)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ACR_ASSERT(isOpen(), "journal not open");
-    if (fd_ < 0)
-        return;  // degraded: the sweep outlives its journal
-    const std::string line =
-        (result.failed
-             ? wire::encodeFailedLine({gridIndex, result.attempts,
-                                       result.failReason})
-             : wire::encodeResultLine({gridIndex, result})) +
-        "\n";
-
-    // An append that hits ENOSPC/EIO (or a failed fsync) must degrade
-    // — one warning, journaling off, the sweep keeps running — never
-    // take down a multi-hour run over its completion log.
-    int error = 0;
-    if (failNextWrite_) {
-        // Injected failure: behave exactly as if write(2) returned
-        // ENOSPC, so tests drive the same degrade the real disk would.
-        failNextWrite_ = false;
-        error = ENOSPC;
-    } else {
-        std::size_t off = 0;
-        while (off < line.size()) {
-            const ssize_t n = ::write(fd_, line.data() + off,
-                                      line.size() - off);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                error = errno;
-                break;
-            }
-            off += static_cast<std::size_t>(n);
-        }
-        while (error == 0 && ::fsync(fd_) < 0) {
-            if (errno != EINTR) {
-                error = errno;
-                break;
-            }
-        }
-    }
-    if (error != 0) {
-        warn("journal '%s': append failed (%s); journaling disabled — "
-             "the sweep continues but cannot resume past this point",
-             path_.c_str(), std::strerror(error));
-        ::close(fd_);
-        fd_ = -1;
-        degraded_ = true;
-        return;
-    }
-    ++appended_;
+    // A degraded journal appends nothing: the sweep outlives it.
+    if (log_.append(result.failed
+                        ? wire::encodeFailedLine({gridIndex,
+                                                  result.attempts,
+                                                  result.failReason})
+                        : wire::encodeResultLine({gridIndex, result})))
+        ++appended_;
 }
 
 void
 Journal::close()
 {
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-    degraded_ = false;
+    log_.close();
 }
 
 } // namespace acr::harness

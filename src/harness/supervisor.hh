@@ -4,13 +4,14 @@
  * paper's checkpoint/recovery discipline applied to the harness's own
  * long-running sweeps (DESIGN.md §10). Two pieces:
  *
- * `Supervisor` drives a fleet of forked `--worker` processes through a
- * single-threaded poll() event loop: nonblocking wire I/O, crash
- * detection via waitpid(WNOHANG) + pipe EOF, an optional per-point
- * wall-clock watchdog that SIGKILLs a wedged child, and automatic
- * respawn of replacement workers. A failed point is retried on a fresh
- * worker with jittered exponential backoff; a point that exhausts its
- * retries is *quarantined* — delivered as an
+ * `Supervisor` deals points one at a time to a fleet of framed-channel
+ * members (harness/net.hh) from a single-threaded poll() loop. The
+ * fleet is either local — `--worker` children forked over socketpairs
+ * (`--forks`), kept at strength, SIGKILLed by the per-point watchdog
+ * and reaped so their wait status names each crash — or remote —
+ * `--connect` workers accepted over TCP (`--listen`). A failed point
+ * is retried on another member with jittered exponential backoff; a
+ * point that exhausts its retries is *quarantined* — delivered as an
  * `ExperimentResult::quarantined` placeholder (a `failed` wire record
  * downstream) so the sweep completes around it instead of aborting.
  *
@@ -38,29 +39,31 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "harness/durable_log.hh"
 #include "harness/net.hh"
 #include "harness/wire.hh"
 
 namespace acr::harness
 {
 
-/** Forked- and TCP-worker supervision: retry/backoff/watchdog/
+/** Local- and TCP-member supervision: retry/backoff/watchdog/
  *  quarantine over an elastic fleet. */
 class Supervisor
 {
   public:
     struct Options
     {
-        /** Target live worker processes (clamped to the task count). */
+        /** Local fleet size: live `--worker` children (clamped to the
+         *  outstanding task count). */
         unsigned workers = 1;
 
         /** Retries after a point's first failed attempt; a point that
          *  fails 1 + retries attempts is quarantined. */
         unsigned retries = 2;
 
-        /** Per-point wall-clock watchdog in seconds; a worker that
-         *  holds a point longer is SIGKILLed and the point retried.
-         *  0 disables the watchdog. */
+        /** Per-point wall-clock watchdog in seconds; a member that
+         *  holds a point longer is dropped (a local child SIGKILLed)
+         *  and the point retried. 0 disables the watchdog. */
         double pointTimeoutSec = 0.0;
 
         /** First retry delay; doubles per subsequent attempt. */
@@ -75,9 +78,10 @@ class Supervisor
     };
 
     /**
-     * Distributed-mode knobs (runListen): where to accept TCP workers
-     * and the identity their handshake must match (DESIGN.md §15).
-     * The heartbeat paces keepalive pings; idle peers time out after
+     * Fleet knobs shared by both member kinds (DESIGN.md §15): the
+     * identity every member's handshake must echo, the heartbeat, and
+     * — remote fleet only — where to accept TCP workers. The
+     * heartbeat paces keepalive pings; idle members time out after
      * four missed heartbeats, and an empty fleet with queued work is
      * given eight heartbeats for a (re)join before every queued point
      * is quarantined — the sweep degrades to FAILED cells, it never
@@ -85,7 +89,7 @@ class Supervisor
      */
     struct NetOptions
     {
-        net::Endpoint listen;       ///< port 0: kernel-picked
+        net::Endpoint listen;       ///< remote fleet; port 0: kernel-picked
         unsigned heartbeatSec = 5;  ///< keepalive ping cadence
 
         /** Handshake identity: a worker whose hello disagrees on any
@@ -111,39 +115,29 @@ class Supervisor
     using Deliver =
         std::function<void(const Task &, ExperimentResult)>;
 
-    /** @param workerCmd argv of a `--worker` invocation of this very
+    /** Local fleet: fork Options::workers children running
+     *  @p workerCmd, argv of a `--worker` invocation of this very
      *  binary (see ShardedSweep::selfExecutable). */
     Supervisor(std::vector<std::string> workerCmd, Options options);
 
-    /** Distributed mode: no worker command — the fleet dials in
-     *  (runListen only; run() requires the forked-worker ctor). */
+    /** Remote fleet: `--connect` workers dial NetOptions::listen. */
     explicit Supervisor(Options options);
 
     /**
-     * Run every task to completion (success or quarantine). Writes
-     * supervision counters into @p stats: sweep.respawns,
-     * sweep.retries, sweep.workerCrashes, sweep.watchdogKills,
-     * sweep.quarantined.
-     */
-    void run(const std::vector<Task> &tasks, const Deliver &deliver,
-             StatSet &stats);
-
-    /**
-     * Distributed mode (DESIGN.md §15): accept `--connect` workers on
-     * @p net.listen (the actual bound endpoint — port 0 resolved — is
-     * announced as "[net] listening on HOST:PORT" on stderr), deal
-     * points one at a time to idle handshaken members, and run every
-     * task to completion (success or quarantine). Membership is
-     * elastic: workers may join late, leave idle, crash busy, or
-     * reconnect; a lost busy worker's point re-enters the same
-     * retry/backoff/quarantine ladder as a crashed forked worker.
+     * Run every task to completion (success or quarantine). A remote
+     * fleet listens on @p net.listen and announces the bound endpoint
+     * (port 0 resolved) as "[net] listening on HOST:PORT" on stderr;
+     * membership is elastic — workers may join late, leave idle,
+     * crash busy, or reconnect. A local fleet forks its members and
+     * replaces each one it loses. Either way a lost busy member's
+     * point re-enters the one retry/backoff/quarantine ladder.
      * Counters in @p stats: sweep.retries, sweep.workerCrashes (busy
-     * connection losses), sweep.watchdogKills, sweep.quarantined,
-     * sweep.netJoins, sweep.netLeaves.
+     * member losses), sweep.watchdogKills, sweep.quarantined, plus
+     * sweep.respawns for a local fleet or sweep.netJoins and
+     * sweep.netLeaves for a remote one.
      */
-    void runListen(const std::vector<Task> &tasks,
-                   const NetOptions &net, const Deliver &deliver,
-                   StatSet &stats);
+    void run(const std::vector<Task> &tasks, const NetOptions &net,
+             const Deliver &deliver, StatSet &stats);
 
     /** Backoff before attempt @p tries+1 of @p gridIndex, in seconds:
      *  capped exponential with deterministic jitter in [0.5, 1.5)x.
@@ -194,10 +188,10 @@ class Journal
 
     /** True after open() — including after a write-failure degrade
      *  (loaded entries are still served; only appends stopped). */
-    bool isOpen() const { return fd_ >= 0 || degraded_; }
+    bool isOpen() const { return log_.isOpen(); }
 
     /** The backing file was disabled by a failed append/fsync. */
-    bool degraded() const { return degraded_; }
+    bool degraded() const { return log_.degraded(); }
 
     /** Test hook: make the next append fail as if the disk were full
      *  (exercises the ENOSPC degrade path without a full disk). */
@@ -220,10 +214,9 @@ class Journal
 
   private:
     std::mutex mutex_;
-    std::string path_;
-    int fd_ = -1;
-    bool degraded_ = false;
-    bool failNextWrite_ = false;
+    DurableLog log_{"journal", "journaling disabled — the sweep "
+                               "continues but cannot resume past this "
+                               "point"};
     std::uint64_t appended_ = 0;
     std::map<std::size_t, ExperimentResult> entries_;
 };

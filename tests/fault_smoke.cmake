@@ -4,10 +4,15 @@
 # injects worker crashes, wedges, and coordinator kills through the
 # ACR_TEST_* hooks and verifies the BenchMain fault-tolerance contract:
 #
-#   * a worker crash mid-sweep is retried on a respawned worker and the
-#     rendered stdout stays byte-identical to --jobs=1;
+#   * a worker crash mid-sweep is retried on a respawned worker, the
+#     retry reason names the child's exit status, and the rendered
+#     stdout stays byte-identical to --jobs=1;
 #   * a wedged worker is SIGKILLed by the --point-timeout watchdog and
-#     its point retried, same byte-identical contract;
+#     its point retried, same byte-identical contract, and no worker
+#     process outlives the sweep;
+#   * a transport fault (ACR_NET_FAULT) in the forked workers' framed
+#     channels is retried the same way, and a long but finite
+#     --point-timeout runs clean;
 #   * a point failing every attempt is quarantined: the table renders a
 #     FAILED cell and the process exits 3 instead of aborting;
 #   * a sweep killed mid-run resumes from its --journal without
@@ -75,13 +80,44 @@ expect_identical("${OUT}/reference.txt" "${OUT}/crash.txt"
                  "crash-injected forked sweep")
 expect_match("${OUT}/crash.err" "retry" "crash retry report")
 expect_match("${OUT}/crash.err" "respawn" "crash respawn stat")
+expect_match("${OUT}/crash.err" "exited with status 42"
+             "crash retry reason names the exit status")
 
-# --- Wedged worker: watchdog SIGKILL + retry, output identical ---
+# --- Wedged worker: watchdog SIGKILL + retry, output identical, and
+#     every worker is gone once the coordinator exits. The marker
+#     variable (which nothing reads) tags this run's processes so the
+#     /proc scan cannot mistake a concurrent test's workers for ours.
+set(wedge_mark "ACR_SMOKE_MARK=${OUT}/wedge")
 run_case("${OUT}/wedge.txt" "${OUT}/wedge.err" 0
-         "ACR_TEST_WEDGE_AT=1" --forks=2 --point-timeout=5)
+         "ACR_TEST_WEDGE_AT=1;${wedge_mark}" --forks=2 --point-timeout=5)
 expect_identical("${OUT}/reference.txt" "${OUT}/wedge.txt"
                  "watchdog-killed forked sweep")
 expect_match("${OUT}/wedge.err" "point-timeout" "watchdog kill report")
+if(IS_DIRECTORY /proc/self)
+    execute_process(
+        COMMAND sh -c "grep -l -a -s -x -z '${wedge_mark}' /proc/[0-9]*/environ"
+        OUTPUT_VARIABLE survivors)
+    if(NOT survivors STREQUAL "")
+        message(FATAL_ERROR
+                "worker processes outlived the wedged sweep:\n"
+                "${survivors}")
+    endif()
+endif()
+
+# --- Transport fault inside the forked fleet: each first-generation
+#     worker garbles its first result frame, the coordinator drops it
+#     and retries the point on a clean respawn ---
+run_case("${OUT}/netfault.txt" "${OUT}/netfault.err" 0
+         "ACR_NET_FAULT=garble=2" --forks=2)
+expect_identical("${OUT}/reference.txt" "${OUT}/netfault.txt"
+                 "transport-faulted forked sweep")
+expect_match("${OUT}/netfault.err" "protocol error" "garbled frame report")
+
+# --- A long but finite watchdog is valid and stays out of the way ---
+run_case("${OUT}/longtimeout.txt" "${OUT}/longtimeout.err" 0 ""
+         --forks=2 --point-timeout=3600)
+expect_identical("${OUT}/reference.txt" "${OUT}/longtimeout.txt"
+                 "forked sweep under a long watchdog")
 
 # --- Exhausted retries: quarantine, FAILED cell, exit code 3 ---
 run_case("${OUT}/quarantine.txt" "${OUT}/quarantine.err" 3

@@ -65,14 +65,14 @@ constexpr GoldenRow kGoldenLocal[] = {
 
 TEST(Golden, HeadlineReductionsAtDefaultPoint)
 {
-    harness::Runner runner(kDefaultThreads);
+    harness::RunnerPool pool;
     const std::vector<harness::ExperimentConfig> configs = {
         makeConfig(BerMode::kNoCkpt),
         makeConfig(BerMode::kCkpt),
         makeConfig(BerMode::kReCkpt),
     };
-    harness::Sweep sweep(runner);
-    const auto results = sweep.run(crossWorkloads(configs));
+    const auto results = harness::ShardedSweep(pool).run(
+        crossGrid(workloads::allWorkloadNames(), configs));
 
     const auto &names = workloads::allWorkloadNames();
     ASSERT_EQ(names.size(), std::size(kGolden));
@@ -100,14 +100,14 @@ TEST(Golden, HeadlineReductionsAtDefaultPoint)
 
 TEST(Golden, HeadlineReductionsUnderLocalCoordination)
 {
-    harness::Runner runner(kDefaultThreads);
+    harness::RunnerPool pool;
     const std::vector<harness::ExperimentConfig> configs = {
         makeConfig(BerMode::kNoCkpt),
         makeConfig(BerMode::kCkpt, 0, ckpt::Coordination::kLocal),
         makeConfig(BerMode::kReCkpt, 0, ckpt::Coordination::kLocal),
     };
-    harness::Sweep sweep(runner);
-    const auto results = sweep.run(crossWorkloads(configs));
+    const auto results = harness::ShardedSweep(pool).run(
+        crossGrid(workloads::allWorkloadNames(), configs));
 
     const auto &names = workloads::allWorkloadNames();
     ASSERT_EQ(names.size(), std::size(kGoldenLocal));

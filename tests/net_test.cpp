@@ -3,9 +3,9 @@
  * Transport-layer tests (DESIGN.md §15): strict HOST:PORT and
  * ACR_NET_FAULT parsing, frame round trips and the garbled-header
  * guard, fault injection on a socketpair, the hello handshake record,
- * and Supervisor::runListen driven by fake in-process TCP workers —
- * deaths between and inside frames, mid-point deaths, handshake
- * rejection, and the empty-fleet join-grace quarantine. The full
+ * and Supervisor::run's remote fleet driven by fake in-process TCP
+ * workers — deaths between and inside frames, mid-point deaths,
+ * handshake rejection, and the empty-fleet join-grace quarantine. The full
  * kill/partition/garble campaign against real worker processes lives
  * in tests/distributed_smoke.sh.
  */
@@ -313,9 +313,9 @@ TEST(NetHello, RoundTripsThroughTheWire)
     EXPECT_EQ(record.hello.netVersion, hello.netVersion);
 }
 
-// --- Supervisor::runListen against fake in-process workers ---
+// --- Supervisor::run's remote fleet against fake in-process workers ---
 
-/** Deliveries recorded from runListen's callback. */
+/** Deliveries recorded from Supervisor::run's callback. */
 struct Deliveries
 {
     std::mutex mutex;
@@ -466,8 +466,8 @@ TEST(RunListen, ElasticFleetSurvivesDeathsBetweenAndInsideFrames)
     Deliveries delivered;
     StatSet stats;
     std::thread coordinator([&] {
-        supervisor.runListen(tasks, coordinatorOptions(grid, port),
-                             delivered.sink(), stats);
+        supervisor.run(tasks, coordinatorOptions(grid, port),
+                       delivered.sink(), stats);
     });
 
     // A connection that dies inside a frame — half a hello, then an
@@ -519,8 +519,8 @@ TEST(RunListen, HandshakeMismatchIsRejected)
     Deliveries delivered;
     StatSet stats;
     std::thread coordinator([&] {
-        supervisor.runListen(tasks, coordinatorOptions(grid, port),
-                             delivered.sink(), stats);
+        supervisor.run(tasks, coordinatorOptions(grid, port),
+                       delivered.sink(), stats);
     });
 
     // A worker offering a skewed grid hash: rejected at handshake,
@@ -569,10 +569,10 @@ TEST(RunListen, EmptyFleetQuarantinesInsteadOfHanging)
     Deliveries delivered;
     StatSet stats;
     // Nobody ever connects: once the join grace (8 heartbeats)
-    // expires, the queued point is quarantined and runListen returns —
+    // expires, the queued point is quarantined and run() returns —
     // the sweep degrades to a FAILED cell, it does not hang.
-    supervisor.runListen(tasks, coordinatorOptions(grid, port),
-                         delivered.sink(), stats);
+    supervisor.run(tasks, coordinatorOptions(grid, port),
+                   delivered.sink(), stats);
 
     ASSERT_EQ(delivered.list.size(), 1u);
     EXPECT_TRUE(delivered.list[0].second.failed);

@@ -71,7 +71,8 @@ modeName(BerMode mode)
 std::string
 renderGrid()
 {
-    harness::Runner runner(kDefaultThreads);
+    harness::RunnerPool pool;
+    harness::Runner &runner = pool.at(kDefaultThreads);
 
     // Every workload × mode × coord cell: NoCkpt once per workload,
     // then {Ckpt, ReCkpt} × {global, local} × {0, 1 errors}.
@@ -83,8 +84,8 @@ renderGrid()
             for (unsigned errors : {0u, 1u})
                 configs.push_back(makeConfig(mode, errors, coord));
 
-    harness::Sweep sweep(runner);
-    const auto results = sweep.run(crossWorkloads(configs));
+    const auto results = harness::ShardedSweep(pool).run(
+        crossGrid(workloads::allWorkloadNames(), configs));
 
     std::ostringstream out;
     out << "# perf-equiv golden: seed-engine results on the tier-1 "

@@ -4,17 +4,25 @@
  * "i/N" parsing is strict, the ordered sink fires in ascending grid
  * order even under parallel execution, shards executed in separate
  * pools merge to exactly the unsharded results (the wire encodings are
- * compared byte-for-byte), and the --worker loop speaks the wire
- * protocol over plain streams.
+ * compared byte-for-byte), the --worker child loop speaks the framed
+ * wire protocol over a socketpair, and benchMain refuses out-of-range
+ * counts and watchdog timeouts.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <algorithm>
+#include <chrono>
+#include <memory>
 #include <set>
-#include <sstream>
+#include <thread>
 #include <vector>
 
+#include "harness/bench_main.hh"
 #include "harness/sharded_sweep.hh"
 #include "harness/wire.hh"
 
@@ -148,6 +156,79 @@ TEST(ShardedSweepRun, ShardsMergeToTheUnshardedResults)
     EXPECT_EQ(merged, reference);
 }
 
+/**
+ * The coordinator's end of a socketpair whose other end serves
+ * ShardedSweep::childWorkerLoop on a thread — the `--worker` child of
+ * a `--forks` sweep, in process.
+ */
+class ChildWorker
+{
+  public:
+    ChildWorker()
+    {
+        int fds[2] = {-1, -1};
+        EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+        EXPECT_EQ(::fcntl(fds[0], F_SETFL, O_NONBLOCK), 0);
+        channel_ = std::make_unique<net::FrameChannel>(fds[0]);
+        thread_ = std::thread([this, fd = fds[1]] {
+            status_ = ShardedSweep::childWorkerLoop(pool_, fd);
+        });
+    }
+
+    ~ChildWorker() { exitStatus(); }
+
+    ChildWorker(const ChildWorker &) = delete;
+    ChildWorker &operator=(const ChildWorker &) = delete;
+
+    void
+    send(net::FrameType type, const std::string &payload)
+    {
+        channel_->send(type, payload);
+        std::string error;
+        while (channel_->wantsWrite() &&
+               channel_->flushWrites(error) == net::FrameChannel::Io::kOk)
+            ;
+    }
+
+    /** Next wire record from the worker; false once it hung up. */
+    bool
+    receive(wire::Record &record)
+    {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (inbox_.empty() && channel_->isOpen() &&
+               std::chrono::steady_clock::now() < deadline) {
+            pollfd pfd{channel_->fd(), POLLIN, 0};
+            ::poll(&pfd, 1, 100);
+            std::string error;
+            channel_->readFrames(inbox_, error);
+        }
+        if (inbox_.empty())
+            return false;
+        EXPECT_EQ(inbox_.front().type, net::FrameType::kWire);
+        record = wire::decodeLine(inbox_.front().payload);
+        inbox_.erase(inbox_.begin());
+        return true;
+    }
+
+    /** Hang up the coordinator's end and join the worker's exit. */
+    int
+    exitStatus()
+    {
+        channel_->close();
+        if (thread_.joinable())
+            thread_.join();
+        return status_;
+    }
+
+  private:
+    RunnerPool pool_;
+    std::unique_ptr<net::FrameChannel> channel_;
+    std::vector<net::Frame> inbox_;
+    int status_ = -1;
+    std::thread thread_;  ///< last: it uses pool_ and status_
+};
+
 TEST(WorkerLoop, SpeaksTheWireProtocol)
 {
     const auto grid = smallGrid();
@@ -156,42 +237,87 @@ TEST(WorkerLoop, SpeaksTheWireProtocol)
     const auto reference =
         encodeAll(ShardedSweep(reference_pool, 1).run(grid));
 
-    // Feed the points out of order to prove the worker echoes indices
+    ChildWorker child;
+    wire::HelloRecord hello;
+    hello.bench = "shard_test";
+    hello.gridPoints = grid.size();
+    hello.gridHash = wire::gridHash(grid);
+    hello.netVersion = net::kProtocolVersion;
+    child.send(net::FrameType::kWire, wire::encodeHelloLine(hello));
+
+    // The child never enumerates the grid: it echoes the identity it
+    // was offered.
+    wire::Record record;
+    ASSERT_TRUE(child.receive(record));
+    ASSERT_EQ(record.type, wire::Record::Type::kHello);
+    EXPECT_EQ(wire::encodeHelloLine(record.hello),
+              wire::encodeHelloLine(hello));
+
+    // Deal the points out of order to prove the worker echoes indices
     // rather than renumbering.
-    std::ostringstream request;
     for (std::size_t index : {2UL, 0UL, 4UL})
-        request << wire::encodePointLine(
-                       {index, grid[index]})
-                << "\n";
-
-    RunnerPool worker_pool;
-    std::istringstream in(request.str());
-    std::ostringstream out;
-    EXPECT_EQ(ShardedSweep::workerLoop(worker_pool, in, out), 0);
-
-    std::istringstream lines(out.str());
-    std::string line;
+        child.send(net::FrameType::kWire,
+                   wire::encodePointLine({index, grid[index]}));
     std::vector<std::uint64_t> indices;
-    while (std::getline(lines, line)) {
-        const auto record = wire::decodeLine(line);
+    for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(child.receive(record));
         ASSERT_EQ(record.type, wire::Record::Type::kResult);
         indices.push_back(record.result.index);
         EXPECT_EQ(wire::encodeResult(record.result.result).dump(),
                   reference[record.result.index]);
     }
     EXPECT_EQ(indices, (std::vector<std::uint64_t>{2, 0, 4}));
+
+    // Only the coordinator's shutdown frame is a clean exit.
+    child.send(net::FrameType::kShutdown, "");
+    EXPECT_EQ(child.exitStatus(), 0);
 }
 
 TEST(WorkerLoop, RejectsGarbageWithNonzeroStatus)
 {
-    RunnerPool pool;
-    std::istringstream in("{\"v\":2,\"type\":\"result\"}\n");
-    std::ostringstream out;
-    EXPECT_NE(ShardedSweep::workerLoop(pool, in, out), 0);
+    for (const char *garbage :
+         {"{\"v\":2,\"type\":\"result\"}", "not a record"}) {
+        ChildWorker child;
+        child.send(net::FrameType::kWire, garbage);
+        wire::Record record;
+        EXPECT_FALSE(child.receive(record)) << garbage;
+        EXPECT_NE(child.exitStatus(), 0) << garbage;
+    }
 
-    std::istringstream garbage("not a record\n");
-    std::ostringstream out2;
-    EXPECT_NE(ShardedSweep::workerLoop(pool, garbage, out2), 0);
+    // A coordinator that vanishes without a shutdown frame is not a
+    // clean end of sweep either.
+    ChildWorker orphan;
+    EXPECT_NE(orphan.exitStatus(), 0);
+}
+
+TEST(BenchMainFlags, OutOfRangeValuesExitNamingTheFlag)
+{
+    BenchSpec spec;
+    spec.name = "shard_test";
+    spec.grid = [](BenchContext &) {
+        return std::vector<GridPoint>{smallGrid().front()};
+    };
+    spec.render = [](BenchContext &,
+                     const std::vector<ExperimentResult> &) {};
+    const auto run = [&spec](const std::string &flag) {
+        const char *argv[] = {"shard_test", "--jobs=1", flag.c_str()};
+        return benchMain(3, argv, spec);
+    };
+
+    // A steady_clock deadline overflows past ~9.2e9 s, NaN would turn
+    // the watchdog off, and an unsigned count must not silently wrap.
+    for (const std::string flag :
+         {"--point-timeout=1e10", "--point-timeout=inf",
+          "--point-timeout=nan", "--point-timeout=-2",
+          "--retries=4294967296", "--retries=-1",
+          "--forks=4294967296", "--jobs=4294967296"}) {
+        EXPECT_EXIT(run(flag), testing::ExitedWithCode(1),
+                    flag.substr(0, flag.find('=')))
+            << flag;
+    }
+
+    // A long but finite watchdog is valid.
+    EXPECT_EQ(run("--point-timeout=3600"), 0);
 }
 
 } // namespace

@@ -1,29 +1,29 @@
 /**
- * @file
- * Sweep determinism lock: fanning a sweep out across worker threads
- * must be observationally invisible. An 8-workload × {NoCkpt, Ckpt,
- * ReCkpt} grid run with jobs=1 and jobs=8 from the same seed must
- * produce bit-identical ExperimentResults — every scalar field, every
- * StatSet entry, every per-interval history record. Two independent
- * Runners are used so even the cache-fill work (program builds, slice
- * passes) happens under different schedules.
+ * Sweep determinism lock: fanning an in-process ShardedSweep out
+ * across worker threads must be observationally invisible. An
+ * 8-workload × {NoCkpt, Ckpt, ReCkpt} grid run with jobs=1 and jobs=8
+ * from the same seed must produce bit-identical ExperimentResults —
+ * every scalar field, every StatSet entry, every per-interval history
+ * record. Two independent RunnerPools are used so even the cache-fill
+ * work (program builds, slice passes) happens under different
+ * schedules.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "harness/sweep.hh"
+#include "harness/sharded_sweep.hh"
 
 namespace acr::harness
 {
 namespace
 {
 
-std::vector<SweepPoint>
+std::vector<GridPoint>
 grid()
 {
-    std::vector<SweepPoint> points;
+    std::vector<GridPoint> points;
     for (const auto &name : workloads::allWorkloadNames()) {
         for (auto mode :
              {BerMode::kNoCkpt, BerMode::kCkpt, BerMode::kReCkpt}) {
@@ -32,7 +32,7 @@ grid()
             config.numCheckpoints = 15;
             config.numErrors = mode == BerMode::kNoCkpt ? 0 : 1;
             config.sliceThreshold = 0;  // per-workload default
-            points.push_back({name, config});
+            points.push_back({name, config, 4});
         }
     }
     return points;
@@ -78,13 +78,11 @@ TEST(SweepDeterminism, Jobs8MatchesJobs1BitForBit)
 {
     const auto points = grid();
 
-    Runner serial_runner(4);
-    Sweep serial_sweep(serial_runner, 1);
-    auto serial = serial_sweep.run(points);
+    RunnerPool serial_pool;
+    auto serial = ShardedSweep(serial_pool, 1).run(points);
 
-    Runner parallel_runner(4);
-    Sweep parallel_sweep(parallel_runner, 8);
-    auto parallel = parallel_sweep.run(points);
+    RunnerPool parallel_pool;
+    auto parallel = ShardedSweep(parallel_pool, 8).run(points);
 
     ASSERT_EQ(serial.size(), points.size());
     ASSERT_EQ(parallel.size(), points.size());
@@ -100,25 +98,23 @@ TEST(SweepDeterminism, ResultsComeBackInSubmissionOrder)
     // Distinguishable points (different checkpoint counts for one
     // workload): slot i must hold point i's result even when workers
     // finish out of order.
-    Runner runner(2);
-    std::vector<SweepPoint> points;
+    RunnerPool pool;
+    std::vector<GridPoint> points;
     for (unsigned checkpoints : {5u, 10u, 15u, 20u}) {
         ExperimentConfig config;
         config.mode = BerMode::kCkpt;
         config.numCheckpoints = checkpoints;
         config.sliceThreshold = 0;
-        points.push_back({"is", config});
+        points.push_back({"is", config, 2});
     }
-    Sweep serial_sweep(runner, 1);
-    auto serial = serial_sweep.run(points);
+    auto serial = ShardedSweep(pool, 1).run(points);
     std::set<std::uint64_t> distinct;
     for (const auto &result : serial)
         distinct.insert(result.checkpointsEstablished);
     ASSERT_EQ(distinct.size(), points.size())
         << "points must be distinguishable for the order check";
 
-    Sweep sweep(runner, 8);
-    auto results = sweep.run(points);
+    auto results = ShardedSweep(pool, 8).run(points);
     ASSERT_EQ(results.size(), points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
         EXPECT_EQ(results[i].checkpointsEstablished,
@@ -130,16 +126,16 @@ TEST(SweepDeterminism, ResultsComeBackInSubmissionOrder)
 TEST(SweepDeterminism, HostTimingStaysOutOfResults)
 {
     // Wall-clock depends on scheduling, so it must never leak into
-    // ExperimentResult.stats — it lives in Sweep::hostStats() only.
-    Runner runner(2);
-    std::vector<SweepPoint> points;
+    // ExperimentResult.stats — it lives in hostStats() only.
+    RunnerPool pool;
+    std::vector<GridPoint> points;
     ExperimentConfig config;
     config.mode = BerMode::kCkpt;
     config.numCheckpoints = 5;
     config.sliceThreshold = 0;
-    points.push_back({"is", config});
+    points.push_back({"is", config, 2});
 
-    Sweep sweep(runner, 2);
+    ShardedSweep sweep(pool, 2);
     auto results = sweep.run(points);
     ASSERT_EQ(results.size(), 1u);
     for (const auto &[name, value] : results[0].stats.all())
@@ -153,11 +149,11 @@ TEST(SweepDeterminism, HostTimingStaysOutOfResults)
 
 TEST(SweepDeterminism, EmptySweepAndDefaultJobs)
 {
-    Runner runner(2);
-    Sweep sweep(runner, 3);
+    RunnerPool pool;
+    ShardedSweep sweep(pool, 3);
     EXPECT_EQ(sweep.jobs(), 3u);
     EXPECT_TRUE(sweep.run({}).empty());
-    EXPECT_GE(Sweep::defaultJobs(), 1u);
+    EXPECT_GE(ShardedSweep::defaultJobs(), 1u);
 }
 
 } // namespace
