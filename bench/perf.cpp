@@ -13,6 +13,10 @@
  *   ckpt            incremental checkpointing runs (Ckpt_NE + Ckpt_E)
  *   re_ckpt         ACR runs (ReCkpt_NE + ReCkpt_E)
  *
+ * The `counters` object holds the slice passes' deterministic work
+ * counts (nodes allocated, results too deep for a node, store builds
+ * and builds answered without a walk), comparable across hosts.
+ *
  * Unlike every other bench, the interesting output here is host wall
  * time, which is inherently nondeterministic — so this binary does NOT
  * go through benchMain's byte-identical rendering contract. The
@@ -39,6 +43,7 @@
 #include "common/logging.hh"
 #include "common/options.hh"
 #include "common/serde.hh"
+#include "slice/engine.hh"
 
 namespace
 {
@@ -66,6 +71,8 @@ struct Phase
 struct Measurement
 {
     std::vector<Phase> phases;
+    /** Slice-pass work counts, summed over the workloads. */
+    slice::SliceEngine::Counters slice;
     double seconds = 0.0;
     std::uint64_t points = 0;
     std::uint64_t instructions = 0;
@@ -135,6 +142,10 @@ measureOnce(const std::vector<std::string> &names, bool prefix_share)
         for (const auto &name : names) {
             const auto &pass = runner.profile(name);
             p.instructions += pass.totalProgress;
+            m.slice.nodesAllocated += pass.slicerWork.nodesAllocated;
+            m.slice.deepResults += pass.slicerWork.deepResults;
+            m.slice.builds += pass.slicerWork.builds;
+            m.slice.walklessBuilds += pass.slicerWork.walklessBuilds;
         }
     });
 
@@ -240,6 +251,13 @@ toJson(const Measurement &m, double calibration_seconds,
         phases.push(std::move(entry));
     }
     doc.set("phases", std::move(phases));
+
+    serde::Json counters = serde::Json::object();
+    counters.set("slice_nodes_allocated", m.slice.nodesAllocated);
+    counters.set("slice_deep_results", m.slice.deepResults);
+    counters.set("slice_builds", m.slice.builds);
+    counters.set("slice_walkless_builds", m.slice.walklessBuilds);
+    doc.set("counters", std::move(counters));
     return doc;
 }
 

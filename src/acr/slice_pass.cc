@@ -66,7 +66,7 @@ SlicePass::run(const isa::Program &program,
                const slice::SlicePolicyConfig &policy)
 {
     sim::MulticoreSystem system(machine, program);
-    slice::SliceEngine slicer(machine.numCores);
+    slice::SliceEngine slicer(machine.numCores, policy);
     PassObserver observer(slicer, policy, program.size());
     system.runToCompletionWith(&observer);
 
@@ -91,6 +91,7 @@ SlicePass::run(const isa::Program &program,
         static_cast<double>(program.size());
     result.dynamicStores = observer.dynamicStores();
     result.sliceableStores = observer.sliceableStores();
+    result.slicerWork = slicer.counters();
     result.totalProgress = system.progress();
     result.cycles = system.maxCycle();
     result.finalImage = system.memory().image();

@@ -19,6 +19,7 @@
 #include "common/stats.hh"
 #include "isa/program.hh"
 #include "sim/machine_config.hh"
+#include "slice/engine.hh"
 #include "slice/policy.hh"
 
 namespace acr::amnesic
@@ -41,6 +42,10 @@ struct SlicePassResult
     /** Dynamic stores observed / found sliceable (coverage). */
     std::uint64_t dynamicStores = 0;
     std::uint64_t sliceableStores = 0;
+
+    /** The pass's slicer work counts (host-independent; bench/perf
+     *  reports them). Kept out of `stats`, which results export. */
+    slice::SliceEngine::Counters slicerWork;
 
     // --- NoCkpt profile of the same run ---
     std::uint64_t totalProgress = 0;  ///< retired instructions

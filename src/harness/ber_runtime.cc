@@ -19,7 +19,11 @@ namespace
 {
 
 /** Fans instruction events out to the slicer, the checkpoint logger,
- *  and ACR's ASSOC-ADDR handling, in dependency order. */
+ *  and ACR's ASSOC-ADDR handling, in dependency order. Only ReCkpt
+ *  runs instantiate it with kAmnesic: the inlined
+ *  SliceEngine::observe would otherwise weigh on the quantum loop of
+ *  every checkpoint-only run too. */
+template <bool kAmnesic>
 class DriverObserver final : public cpu::ExecObserver
 {
   public:
@@ -38,11 +42,11 @@ class DriverObserver final : public cpu::ExecObserver
             // manager runs first and the ASSOC-ADDR update second.
             if (manager_)
                 manager_->onStore(event.core, event.addr, event.oldValue);
-            if (acr_)
+            if constexpr (kAmnesic)
                 acr_->onStoreRetired(event);
             return;
         }
-        if (slicer_)
+        if constexpr (kAmnesic)
             slicer_->observe(event);
     }
 
@@ -96,11 +100,12 @@ BerRuntime::run(const isa::Program &program,
     std::unique_ptr<slice::SliceEngine> slicer;
     std::unique_ptr<amnesic::AcrEngine> acr;
     if (config.mode == BerMode::kReCkpt) {
-        slicer = std::make_unique<slice::SliceEngine>(machine.numCores);
         amnesic::AcrConfig acr_config;
         acr_config.policy.policy = config.policy;
         acr_config.policy.lengthThreshold = config.sliceThreshold;
         acr_config.retentionIntervals = config.addrMapRetention;
+        slicer = std::make_unique<slice::SliceEngine>(machine.numCores,
+                                                      acr_config.policy);
         acr = std::make_unique<amnesic::AcrEngine>(acr_config, *slicer,
                                                    stats);
     }
@@ -174,7 +179,9 @@ BerRuntime::run(const isa::Program &program,
             secondary_config, stats);
     }
 
-    DriverObserver observer(manager.get(), acr.get(), slicer.get());
+    DriverObserver<false> observer(manager.get(), nullptr, nullptr);
+    DriverObserver<true> amnesic_observer(manager.get(), acr.get(),
+                                          slicer.get());
 
     // Storage faults defeated every escalation rung mid-rollback: the
     // modeled machine is lost and the run stops at the failed
@@ -252,6 +259,8 @@ BerRuntime::run(const isa::Program &program,
         if (resume_pending) {
             state = prefix->resume->stepState;
             resume_pending = false;
+        } else if (acr) {
+            state = system.stepWith(&amnesic_observer);
         } else {
             state = system.stepWith(&observer);
         }

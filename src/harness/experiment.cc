@@ -47,6 +47,13 @@ ExperimentConfig::validate() const
         return "sliceThreshold must be nonzero (0 is only a request "
                "for the per-workload default, which Runner::run "
                "resolves before validation)";
+    if (sliceThreshold > slice::kSliceSizeCap)
+        return csprintf("sliceThreshold must be at most %u (the "
+                        "slicer's size cap: a longer chain collapses "
+                        "into a captured input, so the run would "
+                        "silently measure %u), got %u",
+                        slice::kSliceSizeCap, slice::kSliceSizeCap,
+                        sliceThreshold);
     if (numErrors > 0 && mode == BerMode::kNoCkpt)
         return csprintf("numErrors > 0 requires a checkpointing mode "
                         "(NoCkpt cannot recover), got numErrors = %u",

@@ -65,7 +65,7 @@ struct ExperimentConfig
     unsigned numErrors = 0;
 
     /** Slice-length threshold for ReCkpt modes (paper default 10;
-     *  5 for is, footnote 4). */
+     *  5 for is, footnote 4). At most slice::kSliceSizeCap. */
     unsigned sliceThreshold = 10;
 
     /** Slice selection policy (ablation: kCostModel). */

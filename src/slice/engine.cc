@@ -1,5 +1,7 @@
 #include "slice/engine.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace acr::slice
@@ -8,7 +10,7 @@ namespace acr::slice
 using isa::Opcode;
 
 SliceEngine::SliceEngine(unsigned num_cores, unsigned size_cap)
-    : numCores_(num_cores), sizeCap_(size_cap)
+    : numCores_(num_cores), sizeCap_(size_cap), depthCap_(size_cap)
 {
     ACR_ASSERT(num_cores >= 1, "slice engine needs >= 1 core");
     ACR_ASSERT(size_cap >= 1, "size cap must be >= 1");
@@ -22,11 +24,17 @@ SliceEngine::SliceEngine(unsigned num_cores, unsigned size_cap)
         vals.fill(0);
 }
 
+SliceEngine::SliceEngine(unsigned num_cores, const SlicePolicyConfig &policy)
+    : SliceEngine(num_cores)
+{
+    depthCap_ = std::min(policy.buildCap(), sizeCap_);
+}
+
 SliceEngine::~SliceEngine()
 {
     for (auto &regs : regNodes_)
         for (NodeRef ref : regs)
-            if (ref != kLazy)
+            if (holdsNode(ref))
                 release(ref);
 }
 
@@ -60,9 +68,20 @@ SliceEngine::buildForStore(const cpu::InstrEvent &event,
 {
     const isa::Instruction &inst = *event.inst;
     ACR_ASSERT(isa::isStore(inst.op), "buildForStore on a non-store");
+    // A Slice is never longer than the size cap, so this asks that
+    // every Slice the policy could admit fits the depth cap.
+    ACR_ASSERT(std::min(policy.buildCap(), sizeCap_) <= depthCap_,
+               "policy admits %u-instruction Slices but the engine "
+               "drops results deeper than %u",
+               policy.buildCap(), depthCap_);
+    ++counters_.builds;
     NodeRef root = regNodes_[event.core][inst.rs2];
-    if (root == kLazy)
-        return nullptr;  // lazy leaf root: pure load/copy, no Slice
+    // A leaf root is a pure load/copy; a kDeep root is too deep for
+    // any admissible Slice. Neither needs a walk.
+    if (!holdsNode(root) || arena_[root].depth == 0) {
+        ++counters_.walklessBuilds;
+        return nullptr;
+    }
     const BuiltSlice *built = buildFromNode(root, policy);
     if (built) {
         ACR_ASSERT(built->value == event.result,
@@ -74,9 +93,6 @@ SliceEngine::buildForStore(const cpu::InstrEvent &event,
 const BuiltSlice *
 SliceEngine::buildFromNode(NodeRef rootRef, const SlicePolicyConfig &policy)
 {
-    if (rootRef == kNil || !arena_[rootRef].arith)
-        return nullptr;  // pure copies/loads have no Slice
-
     const unsigned max_instrs = policy.buildCap();
 
     BuiltSlice &out = buildScratch_;
@@ -113,7 +129,7 @@ SliceEngine::buildFromNode(NodeRef rootRef, const SlicePolicyConfig &policy)
         if (node.buildEpoch == epoch)
             continue;
 
-        if (!node.arith) {
+        if (node.depth == 0) {
             // Opaque leaf: capture the value as an input operand.
             if (out.inputs.size() >= policy.maxInputs)
                 return nullptr;
@@ -163,7 +179,7 @@ SliceEngine::resetCore(CoreId core,
         NodeRef old = regNodes_[core][r];
         regNodes_[core][r] = kLazy;
         regValues_[core][r] = regs[r];
-        if (old != kLazy)
+        if (holdsNode(old))
             release(old);
     }
 }

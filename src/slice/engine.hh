@@ -12,31 +12,38 @@
  * ops only) plus captured input operands — or reports that no admissible
  * Slice exists.
  *
- * Hot-path layout (DESIGN.md §13): the engine allocates one node per
- * retired arithmetic instruction and one per load/tid leaf, so node
- * turnover dominates the whole simulator. Nodes therefore live in a
- * flat engine-owned arena addressed by 32-bit indices — a packed
- * 40-byte node (down from 56 with pointers) with an intrusive
- * non-atomic refcount; an engine belongs to exactly one experiment
- * frame, which runs on one thread. The linearizer's visited-map is an
- * epoch-stamped slot carried in the node itself instead of a per-call
- * hash map. Leaf producers (loads, tid reads, over-cap collapses) are
- * *lazy*: a register slot holds just the value until an arithmetic
- * instruction actually links it, at which point one leaf node is
- * materialized and shared by every subsequent reader — so the very
- * common load→store / load→overwrite patterns never touch the arena
- * at all. All of this is pure allocation/bookkeeping layout: the DAG
- * shape, traversal order, and emitted slices are bit-identical to the
- * original shared_ptr implementation (locked by perf_equiv_test /
- * golden_stdout). A welcome side effect of index addressing is that
- * the whole engine is plain copyable state, which is what lets the
- * prefix-sharing snapshot (DESIGN.md §13) clone a mid-run slicer with
- * a handful of vector copies.
+ * Hot-path layout (DESIGN.md §13.2): nodes live in a flat engine-owned
+ * arena addressed by 32-bit indices — a packed 40-byte node with an
+ * intrusive non-atomic refcount; an engine belongs to exactly one
+ * experiment frame, which runs on one thread. The linearizer's
+ * visited-map is an epoch-stamped slot carried in the node itself.
+ * Two register-slot sentinels keep most results out of the arena:
+ *
+ *  - kLazy: a leaf producer (load, tid read, over-size collapse) is
+ *    just a value in the slot until an arithmetic instruction links
+ *    it; then one leaf node is materialized and shared by every later
+ *    reader, so load→store / load→overwrite never touch the arena.
+ *  - kDeep: every node carries its longest arithmetic path (`depth`),
+ *    and a Slice emits every arith node its root reaches, so it has at
+ *    least `depth` instructions. A result deeper than the engine's
+ *    depth cap (the policy's buildCap()) can therefore be part of no
+ *    admissible Slice: it gets no node, only its approxSize (which
+ *    still drives the size-cap collapse of its consumers), and a store
+ *    of it is answered without a walk.
+ *
+ * All of this is pure allocation/bookkeeping layout: every emitted
+ * slice is bit-identical to the uncapped engine's (locked by the
+ * differential test in tests/slice_test.cpp, perf_equiv_test and
+ * golden_stdout). Index addressing also makes the whole engine plain
+ * copyable state, which is what lets the prefix-sharing snapshot
+ * (DESIGN.md §13.6) clone a mid-run slicer with a handful of vector
+ * copies.
  */
 
 #ifndef ACR_SLICE_ENGINE_HH
 #define ACR_SLICE_ENGINE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -66,13 +73,23 @@ class SliceEngine
 {
   public:
     /**
+     * Uncapped engine: keeps a node for every result below the size
+     * cap, so it can build for any policy.
      * @param num_cores  cores to track
      * @param size_cap   producer chains whose (approximate) instruction
      *                   count exceeds this become opaque leaves; bounds
      *                   both tracking memory and builder work. Must be
      *                   at least the largest threshold under study.
      */
-    explicit SliceEngine(unsigned num_cores, unsigned size_cap = 128);
+    explicit SliceEngine(unsigned num_cores,
+                         unsigned size_cap = kSliceSizeCap);
+
+    /**
+     * Depth-capped engine for one policy: results deeper than
+     * @p policy.buildCap() get no node. buildForStore() then only
+     * accepts policies whose Slices fit that cap.
+     */
+    SliceEngine(unsigned num_cores, const SlicePolicyConfig &policy);
     ~SliceEngine();
 
     // Index-addressed state: copying the engine copies the whole DAG,
@@ -114,6 +131,20 @@ class SliceEngine
     /** Nodes currently alive (tests/debugging). */
     std::size_t liveNodes() const { return liveNodes_; }
 
+    /** Host-independent work counts since construction. */
+    struct Counters
+    {
+        /** Arena node allocations (arith results and leaves). */
+        std::uint64_t nodesAllocated = 0;
+        /** Arith results deeper than the depth cap (no node). */
+        std::uint64_t deepResults = 0;
+        /** buildForStore() calls. */
+        std::uint64_t builds = 0;
+        /** Builds answered from the root slot alone (no walk). */
+        std::uint64_t walklessBuilds = 0;
+    };
+    const Counters &counters() const { return counters_; }
+
   private:
     /** Arena index of a node; kNil is the null producer. */
     using NodeRef = std::uint32_t;
@@ -124,14 +155,23 @@ class SliceEngine
      * never will be unless an arithmetic instruction links it).
      */
     static constexpr NodeRef kLazy = 0xFFFFFFFEu;
+    /**
+     * Register-slot sentinel: the producer is an arith result deeper
+     * than depthCap_; it has no node, and its approxSize sits in
+     * regValues_.
+     */
+    static constexpr NodeRef kDeep = 0xFFFFFFFDu;
+    /** Whether a register slot holds an arena node (not a sentinel). */
+    static bool holdsNode(NodeRef ref) { return ref < kDeep; }
 
     /**
      * A packed producer-DAG node (40 bytes; two per cache line, vs 56
      * with pointer links). `refs` counts register slots plus parent
      * links; `buildEpoch`/`buildSlot` are the linearizer's visited
      * stamp (valid only while buildEpoch matches the engine's current
-     * walk). When a node sits on the free list, `in1` doubles as the
-     * list link.
+     * walk). `depth` is the longest arith path down from the node,
+     * saturating at 255; 0 marks a leaf. When a node sits on the free
+     * list, `in1` doubles as the list link.
      */
     struct Node
     {
@@ -144,7 +184,7 @@ class SliceEngine
         std::int32_t buildSlot;
         std::uint16_t approxSize;
         isa::Opcode op;
-        std::uint8_t arith;
+        std::uint8_t depth;
     };
     static_assert(sizeof(Node) == 40, "Node packing regressed");
 
@@ -178,8 +218,11 @@ class SliceEngine
 
     unsigned numCores_;
     unsigned sizeCap_;
+    /** Results deeper than this get no node (sizeCap_: uncapped). */
+    unsigned depthCap_;
     std::vector<std::array<NodeRef, isa::kNumRegs>> regNodes_;
-    /** Value of each register's producer when its slot is kLazy. */
+    /** Value of each register's producer when its slot is kLazy;
+     *  its approxSize when the slot is kDeep. */
     std::vector<std::array<Word, isa::kNumRegs>> regValues_;
 
     // --- Node arena (flat; indices stay valid across growth) ---
@@ -198,6 +241,7 @@ class SliceEngine
     std::uint32_t buildEpoch_ = 0;
     /** Result slot of buildFromNode; vectors keep their capacity. */
     BuiltSlice buildScratch_;
+    Counters counters_;
 };
 
 inline SliceEngine::NodeRef
@@ -217,6 +261,7 @@ SliceEngine::alloc()
     node.refs = 1;
     node.buildEpoch = 0;
     ++liveNodes_;
+    ++counters_.nodesAllocated;
     return ref;
 }
 
@@ -225,7 +270,7 @@ SliceEngine::leaf(Word value)
 {
     NodeRef ref = alloc();
     Node &node = arena_[ref];
-    node.arith = 0;
+    node.depth = 0;
     node.op = isa::Opcode::kMovi;
     node.imm = 0;
     node.value = value;
@@ -250,7 +295,7 @@ SliceEngine::observe(const cpu::InstrEvent &event)
         NodeRef old = regs[inst.rd];
         regs[inst.rd] = kLazy;
         vals[inst.rd] = event.result;
-        if (old != kLazy)
+        if (holdsNode(old))
             release(old);
         return;
     }
@@ -261,15 +306,29 @@ SliceEngine::observe(const cpu::InstrEvent &event)
     const bool use1 = isa::readsRs1(inst.op);
     const bool use2 = isa::readsRs2(inst.op);
 
+    // The result's approxSize and depth. A kDeep operand is deeper
+    // than the cap, so it makes the result deep too (~0u).
     std::uint64_t approx = 1;
-    if (use1 && regs[inst.rs1] != kLazy) {
-        const Node &src = arena_[regs[inst.rs1]];
-        approx += src.arith ? src.approxSize : 0;
-    }
-    if (use2 && regs[inst.rs2] != kLazy) {
-        const Node &src = arena_[regs[inst.rs2]];
-        approx += src.arith ? src.approxSize : 0;
-    }
+    unsigned depth = 1;
+    auto account = [&](isa::Reg r) {
+        const NodeRef src = regs[r];
+        if (src == kLazy)
+            return;
+        if (src == kDeep) {
+            approx += vals[r];
+            depth = ~0u;
+            return;
+        }
+        const Node &node = arena_[src];
+        if (node.depth != 0) {
+            approx += node.approxSize;
+            depth = std::max(depth, node.depth + 1u);
+        }
+    };
+    if (use1)
+        account(inst.rs1);
+    if (use2)
+        account(inst.rs2);
 
     if (approx > sizeCap_) {
         // Chain exceeds every threshold under study: collapse to an
@@ -279,7 +338,21 @@ SliceEngine::observe(const cpu::InstrEvent &event)
         NodeRef old = regs[inst.rd];
         regs[inst.rd] = kLazy;
         vals[inst.rd] = event.result;
-        if (old != kLazy)
+        if (holdsNode(old))
+            release(old);
+        return;
+    }
+
+    if (depth > depthCap_) {
+        // No admissible Slice can contain this result: keep only the
+        // approxSize its consumers' collapse test needs. Its lazy
+        // operands stay lazy; the next shallow reader materializes
+        // and shares them exactly as it would have.
+        NodeRef old = regs[inst.rd];
+        regs[inst.rd] = kDeep;
+        vals[inst.rd] = approx;
+        ++counters_.deepResults;
+        if (holdsNode(old))
             release(old);
         return;
     }
@@ -305,7 +378,7 @@ SliceEngine::observe(const cpu::InstrEvent &event)
     NodeRef ref = alloc();
     // No further alloc below: the reference stays valid.
     Node &node = arena_[ref];
-    node.arith = 1;
+    node.depth = static_cast<std::uint8_t>(std::min(depth, 255u));
     node.op = inst.op;
     node.imm = inst.imm;
     node.value = event.result;
@@ -323,7 +396,7 @@ SliceEngine::observe(const cpu::InstrEvent &event)
     // retained: rd may alias rs1/rs2.
     NodeRef old = regs[inst.rd];
     regs[inst.rd] = ref;
-    if (old != kLazy)
+    if (holdsNode(old))
         release(old);
 }
 

@@ -16,6 +16,13 @@
 namespace acr::slice
 {
 
+/**
+ * The slicer's size cap: a producer chain of (approximately) more
+ * instructions collapses into a captured input, so no Slice is ever
+ * longer. A length threshold above it would silently measure this cap.
+ */
+inline constexpr unsigned kSliceSizeCap = 128;
+
 /** How the compiler pass decides which Slices to embed. */
 enum class SelectionPolicy
 {

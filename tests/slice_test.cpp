@@ -2,21 +2,29 @@
  * @file
  * Tests for the recomputation substrate: static slice representation,
  * repository dedup, instance/operand-buffer accounting, the dynamic
- * backward slicer, and the property that replaying a captured Slice
- * reproduces the stored value bit-for-bit for randomized programs.
+ * backward slicer, the property that replaying a captured Slice
+ * reproduces the stored value bit-for-bit for randomized programs, and
+ * the differential check that a depth-capped slicer builds exactly what
+ * the uncapped one does.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "cache/hierarchy.hh"
 #include "common/rng.hh"
 #include "cpu/core.hh"
+#include "harness/runner.hh"
 #include "isa/builder.hh"
 #include "mem/main_memory.hh"
+#include "sim/system.hh"
 #include "slice/engine.hh"
 #include "slice/instance.hh"
 #include "slice/policy.hh"
 #include "slice/repository.hh"
+#include "workloads/workload.hh"
 
 namespace acr::slice
 {
@@ -379,16 +387,14 @@ TEST(Engine, ResetCoreMakesRegistersOpaque)
 }
 
 /**
- * Property: for random straight-line arithmetic programs, every built
- * slice replays to exactly the stored value.
+ * Random arithmetic program over r1..r8 with loads and stores: a
+ * straight-line block, then a counted loop around a second block whose
+ * producer chains grow far past the thresholds under test.
  */
-class SliceReplayProperty : public testing::TestWithParam<std::uint64_t>
+isa::Program
+randomProgram(std::uint64_t seed)
 {
-};
-
-TEST_P(SliceReplayProperty, ReplayMatchesStoredValue)
-{
-    Rng rng(GetParam());
+    Rng rng(seed);
     isa::ProgramBuilder b("random");
 
     // Seed some registers and data.
@@ -400,37 +406,58 @@ TEST_P(SliceReplayProperty, ReplayMatchesStoredValue)
     b.movi(20, 200);
 
     unsigned stores = 0;
-    for (int i = 0; i < 200; ++i) {
-        unsigned pick = static_cast<unsigned>(rng.below(10));
-        isa::Reg rd = static_cast<isa::Reg>(1 + rng.below(8));
-        isa::Reg rs1 = static_cast<isa::Reg>(1 + rng.below(8));
-        isa::Reg rs2 = static_cast<isa::Reg>(1 + rng.below(8));
-        switch (pick) {
-          case 0: b.add(rd, rs1, rs2); break;
-          case 1: b.sub(rd, rs1, rs2); break;
-          case 2: b.mul(rd, rs1, rs2); break;
-          case 3: b.xor_(rd, rs1, rs2); break;
-          case 4: b.and_(rd, rs1, rs2); break;
-          case 5: b.or_(rd, rs1, rs2); break;
-          case 6:
-            b.addi(rd, rs1, static_cast<SWord>(rng.below(1000)));
-            break;
-          case 7:
-            b.shri(rd, rs1, static_cast<SWord>(rng.below(63)));
-            break;
-          case 8:
-            b.load(rd, 20, static_cast<SWord>(rng.below(16)));
-            break;
-          default:
-            b.store(20, rs2, static_cast<SWord>(16 + stores));
-            ++stores;
-            break;
+    auto block = [&](int length) {
+        for (int i = 0; i < length; ++i) {
+            unsigned pick = static_cast<unsigned>(rng.below(10));
+            isa::Reg rd = static_cast<isa::Reg>(1 + rng.below(8));
+            isa::Reg rs1 = static_cast<isa::Reg>(1 + rng.below(8));
+            isa::Reg rs2 = static_cast<isa::Reg>(1 + rng.below(8));
+            switch (pick) {
+              case 0: b.add(rd, rs1, rs2); break;
+              case 1: b.sub(rd, rs1, rs2); break;
+              case 2: b.mul(rd, rs1, rs2); break;
+              case 3: b.xor_(rd, rs1, rs2); break;
+              case 4: b.and_(rd, rs1, rs2); break;
+              case 5: b.or_(rd, rs1, rs2); break;
+              case 6:
+                b.addi(rd, rs1, static_cast<SWord>(rng.below(1000)));
+                break;
+              case 7:
+                b.shri(rd, rs1, static_cast<SWord>(rng.below(63)));
+                break;
+              case 8:
+                b.load(rd, 20, static_cast<SWord>(rng.below(16)));
+                break;
+              default:
+                b.store(20, rs2, static_cast<SWord>(16 + stores));
+                ++stores;
+                break;
+            }
         }
-    }
+    };
+    block(200);
+    b.movi(9, 24);  // loop counter
+    b.movi(10, 0);
+    b.label("loop");
+    block(40);
+    b.addi(9, 9, -1);
+    b.bne(9, 10, "loop");
     b.store(20, 1, 99);
     b.halt();
+    return b.build();
+}
 
-    SliceRig rig(b.build());
+/**
+ * Property: for random arithmetic programs, every built slice replays
+ * to exactly the stored value.
+ */
+class SliceReplayProperty : public testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(SliceReplayProperty, ReplayMatchesStoredValue)
+{
+    SliceRig rig(randomProgram(GetParam()));
     SlicePolicyConfig policy;
     policy.lengthThreshold = 64;
     policy.maxInputs = 64;
@@ -453,6 +480,238 @@ TEST_P(SliceReplayProperty, ReplayMatchesStoredValue)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SliceReplayProperty,
                          testing::Range<std::uint64_t>(1, 21));
+
+// ---------------------------------------------------------------------
+// Depth cap: a capped engine builds exactly what an uncapped one does
+// ---------------------------------------------------------------------
+
+bool
+sameBuild(const BuiltSlice *want, const BuiltSlice *got)
+{
+    if (want == nullptr || got == nullptr)
+        return want == got;
+    return want->slice.code == got->slice.code &&
+           want->slice.numInputs == got->slice.numInputs &&
+           want->inputs == got->inputs && want->value == got->value;
+}
+
+/**
+ * Feeds one execution, as the slice pass does, to an uncapped
+ * reference engine and to one depth-capped engine per policy. At every
+ * store each capped engine must build what the reference builds under
+ * the same policy.
+ */
+class DifferentialFeed final : public cpu::ExecObserver
+{
+  public:
+    DifferentialFeed(unsigned cores, std::vector<SlicePolicyConfig> policies)
+        : policies_(std::move(policies)), reference_(cores)
+    {
+        capped_.reserve(policies_.size());
+        for (const SlicePolicyConfig &policy : policies_)
+            capped_.emplace_back(cores, policy);
+    }
+
+    void
+    onInstr(const cpu::InstrEvent &event) override
+    {
+        if (!isa::isStore(event.inst->op)) {
+            reference_.observe(event);
+            for (SliceEngine &engine : capped_)
+                engine.observe(event);
+            return;
+        }
+        for (std::size_t i = 0; i < policies_.size(); ++i) {
+            const BuiltSlice *want =
+                reference_.buildForStore(event, policies_[i]);
+            const BuiltSlice *got =
+                capped_[i].buildForStore(event, policies_[i]);
+            if (want)
+                ++admissible;
+            if (!sameBuild(want, got) && mismatches++ == 0)
+                firstMismatch = "store " + std::to_string(stores) +
+                                " at pc " + std::to_string(event.pc) +
+                                " under policy " + std::to_string(i);
+        }
+        if (afterStore)
+            afterStore(stores);
+        ++stores;
+    }
+
+    void
+    resetCore(CoreId core, const std::array<Word, isa::kNumRegs> &regs)
+    {
+        reference_.resetCore(core, regs);
+        for (SliceEngine &engine : capped_)
+            engine.resetCore(core, regs);
+    }
+
+    const SliceEngine &reference() const { return reference_; }
+    const SliceEngine &capped(std::size_t i) const { return capped_[i]; }
+
+    /** Called after each store's check with its 0-based index. */
+    std::function<void(std::uint64_t)> afterStore;
+
+    std::uint64_t stores = 0;
+    std::uint64_t admissible = 0;
+    std::uint64_t mismatches = 0;
+    std::string firstMismatch;
+
+  private:
+    std::vector<SlicePolicyConfig> policies_;
+    SliceEngine reference_;
+    std::vector<SliceEngine> capped_;
+};
+
+SlicePolicyConfig
+greedy(unsigned threshold, unsigned max_inputs = 64)
+{
+    SlicePolicyConfig policy;
+    policy.lengthThreshold = threshold;
+    policy.maxInputs = max_inputs;
+    return policy;
+}
+
+SlicePolicyConfig
+costModel()
+{
+    SlicePolicyConfig policy;
+    policy.policy = SelectionPolicy::kCostModel;
+    return policy;
+}
+
+class DepthCapDifferential : public testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(DepthCapDifferential, RandomProgramsBuildIdentically)
+{
+    SliceRig rig(randomProgram(GetParam()));
+    DifferentialFeed feed(1, {greedy(3), greedy(10), greedy(10, 2),
+                              greedy(64), costModel()});
+    // A rollback mid-run: every register becomes an opaque leaf.
+    feed.afterStore = [&](std::uint64_t store) {
+        if (store != 10)
+            return;
+        std::array<Word, isa::kNumRegs> regs{};
+        for (unsigned r = 0; r < isa::kNumRegs; ++r)
+            regs[r] = rig.core.reg(r);
+        feed.resetCore(0, regs);
+    };
+    rig.core.run(1u << 22, &feed);
+
+    EXPECT_GT(feed.stores, 10u) << "the reset never ran";
+    EXPECT_GT(feed.admissible, 0u) << "degenerate program";
+    EXPECT_GT(feed.capped(0).counters().deepResults, 0u)
+        << "the loop never outgrew the threshold-3 depth cap";
+    EXPECT_EQ(feed.mismatches, 0u) << "first: " << feed.firstMismatch;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DepthCapDifferential,
+                         testing::Range<std::uint64_t>(1, 21));
+
+TEST(DepthCap, SquaringChainIsShallowDespiteItsApproxSize)
+{
+    // Each mul reads r1 twice, so approxSize doubles (1, 3, 7, ...,
+    // 127) while the longest path grows by one: the Slice is the 7
+    // distinct instructions. Pruning by approxSize would lose it.
+    isa::ProgramBuilder b("square");
+    b.movi(1, 3);
+    for (int i = 0; i < 6; ++i)
+        b.mul(1, 1, 1);
+    b.movi(2, 100);
+    b.store(2, 1);
+    b.halt();
+    SliceRig rig(b.build());
+
+    const SlicePolicyConfig policy = greedy(10);
+    rig.engine = SliceEngine(1, policy);
+    auto built = rig.run(policy);
+
+    ASSERT_EQ(built.size(), 1u);
+    ASSERT_TRUE(built[0].has_value());
+    EXPECT_EQ(built[0]->slice.length(), 7u);
+    EXPECT_EQ(built[0]->slice.numInputs, 0u);
+    Word want = 3;
+    for (int i = 0; i < 6; ++i)
+        want *= want;
+    EXPECT_EQ(built[0]->value, want);
+    EXPECT_EQ(rig.engine.counters().deepResults, 0u);
+}
+
+TEST(DepthCap, DeepStoreIsAnsweredWithoutAWalk)
+{
+    // 16 chained addi: from the 11th on, results are deeper than the
+    // threshold-10 cap and get no node.
+    isa::ProgramBuilder b("deep");
+    b.movi(1, 1);
+    for (int i = 0; i < 15; ++i)
+        b.addi(1, 1, 1);
+    b.movi(2, 70);
+    b.store(2, 1);
+    b.halt();
+    SliceRig rig(b.build());
+    DifferentialFeed feed(1, {greedy(10)});
+    rig.core.run(1000, &feed);
+
+    EXPECT_EQ(feed.mismatches, 0u) << feed.firstMismatch;
+    EXPECT_EQ(feed.admissible, 0u);
+    const SliceEngine::Counters &work = feed.capped(0).counters();
+    EXPECT_EQ(work.deepResults, 6u);
+    EXPECT_EQ(work.builds, 1u);
+    EXPECT_EQ(work.walklessBuilds, 1u);
+    EXPECT_EQ(feed.reference().counters().deepResults, 0u);
+    EXPECT_EQ(feed.reference().counters().walklessBuilds, 0u);
+}
+
+TEST(DepthCap, CappedEngineRefusesALongerPolicy)
+{
+    isa::ProgramBuilder b("chain");
+    b.movi(1, 7);
+    b.movi(2, 100);
+    b.store(2, 1);
+    b.halt();
+    SliceRig rig(b.build());
+    rig.engine = SliceEngine(1, greedy(10));
+    EXPECT_DEATH(rig.run(greedy(11)), "deeper than 10");
+}
+
+/** All 8 kernels under the pass's observer, at each kernel's
+ *  threshold and under the cost model. */
+class KernelDepthCap : public testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(KernelDepthCap, BuildsIdenticallyToUncapped)
+{
+    workloads::WorkloadParams params;
+    params.threads = 2;
+    const isa::Program program =
+        workloads::makeWorkload(GetParam())->build(params);
+    sim::MulticoreSystem system(sim::MachineConfig::tableI(params.threads),
+                                program);
+    DifferentialFeed feed(
+        params.threads,
+        {greedy(harness::Runner::defaultThreshold(GetParam())),
+         costModel()});
+    system.runToCompletionWith(&feed);
+
+    EXPECT_GT(feed.admissible, 0u);
+    EXPECT_EQ(feed.mismatches, 0u) << "first: " << feed.firstMismatch;
+    const SliceEngine::Counters &capped = feed.capped(0).counters();
+    const SliceEngine::Counters &uncapped = feed.reference().counters();
+    EXPECT_GT(capped.deepResults, 0u);
+    EXPECT_LT(capped.nodesAllocated, uncapped.nodesAllocated);
+    EXPECT_EQ(capped.builds, feed.stores);
+    EXPECT_EQ(uncapped.deepResults, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKernels, KernelDepthCap,
+    testing::ValuesIn(workloads::allWorkloadNames()),
+    [](const testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 } // namespace
 } // namespace acr::slice

@@ -399,6 +399,19 @@ TEST(ConfigValidate, NamesTheOffendingField)
     expectNames(config, "storageFaultMask");
 }
 
+TEST(ConfigValidate, SliceThresholdIsBoundedBySizeCap)
+{
+    // Above the slicer's size cap a longer chain collapses into a
+    // captured input, so the point would silently measure the cap.
+    ExperimentConfig config;
+    config.sliceThreshold = slice::kSliceSizeCap;
+    EXPECT_EQ(config.validate(), "");
+    config.sliceThreshold = slice::kSliceSizeCap + 1;
+    const std::string error = config.validate();
+    EXPECT_NE(error.find("sliceThreshold"), std::string::npos) << error;
+    EXPECT_NE(error.find("128"), std::string::npos) << error;
+}
+
 TEST(ConfigValidate, RunnerRejectsInvalidConfigs)
 {
     Runner runner(2);
