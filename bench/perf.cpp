@@ -14,8 +14,9 @@
  *   re_ckpt         ACR runs (ReCkpt_NE + ReCkpt_E)
  *
  * The `counters` object holds the slice passes' deterministic work
- * counts (nodes allocated, results too deep for a node, store builds
- * and builds answered without a walk), comparable across hosts.
+ * counts (nodes allocated, results too deep for a node, store builds,
+ * builds answered without a walk and results no store can read),
+ * comparable across hosts; scripts/perf_check gates them exactly.
  *
  * Unlike every other bench, the interesting output here is host wall
  * time, which is inherently nondeterministic — so this binary does NOT
@@ -146,6 +147,7 @@ measureOnce(const std::vector<std::string> &names, bool prefix_share)
             m.slice.deepResults += pass.slicerWork.deepResults;
             m.slice.builds += pass.slicerWork.builds;
             m.slice.walklessBuilds += pass.slicerWork.walklessBuilds;
+            m.slice.untrackedResults += pass.slicerWork.untrackedResults;
         }
     });
 
@@ -257,6 +259,7 @@ toJson(const Measurement &m, double calibration_seconds,
     counters.set("slice_deep_results", m.slice.deepResults);
     counters.set("slice_builds", m.slice.builds);
     counters.set("slice_walkless_builds", m.slice.walklessBuilds);
+    counters.set("slice_untracked_results", m.slice.untrackedResults);
     doc.set("counters", std::move(counters));
     return doc;
 }

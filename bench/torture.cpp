@@ -245,7 +245,8 @@ readOptions(const OptionParser &parser)
     campaign.lats.clear();
     for (const auto &text : splitList(parser.getString("lats"))) {
         double lat = 0.0;
-        if (!parseStrictDouble(text, lat) || lat < 0.0 || lat > 1.0)
+        // NaN parses, and fails only a comparison written this way.
+        if (!parseStrictDouble(text, lat) || !(lat >= 0.0 && lat <= 1.0))
             fatal("--lats entries must be numbers in [0, 1], got '%s'",
                   text.c_str());
         campaign.lats.push_back(lat);

@@ -66,7 +66,8 @@ SlicePass::run(const isa::Program &program,
                const slice::SlicePolicyConfig &policy)
 {
     sim::MulticoreSystem system(machine, program);
-    slice::SliceEngine slicer(machine.numCores, policy);
+    slice::SliceEngine slicer(machine.numCores, policy, program,
+                              slice::SliceRoots::kAllStores);
     PassObserver observer(slicer, policy, program.size());
     system.runToCompletionWith(&observer);
 

@@ -104,8 +104,9 @@ BerRuntime::run(const isa::Program &program,
         acr_config.policy.policy = config.policy;
         acr_config.policy.lengthThreshold = config.sliceThreshold;
         acr_config.retentionIntervals = config.addrMapRetention;
-        slicer = std::make_unique<slice::SliceEngine>(machine.numCores,
-                                                      acr_config.policy);
+        slicer = std::make_unique<slice::SliceEngine>(
+            machine.numCores, acr_config.policy, program,
+            slice::SliceRoots::kHintedStores);
         acr = std::make_unique<amnesic::AcrEngine>(acr_config, *slicer,
                                                    stats);
     }

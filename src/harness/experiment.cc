@@ -32,7 +32,8 @@ ExperimentConfig::label() const
 std::string
 ExperimentConfig::validate() const
 {
-    if (detectionLatencyFraction < 0.0 || detectionLatencyFraction > 1.0)
+    // Written so that NaN fails too: every comparison with it is false.
+    if (!(detectionLatencyFraction >= 0.0 && detectionLatencyFraction <= 1.0))
         return csprintf("detectionLatencyFraction must be in [0, 1] "
                         "(Sec. II-A: detection within one checkpoint "
                         "period), got %g",
@@ -64,7 +65,7 @@ ExperimentConfig::validate() const
                         "default backend would silently measure "
                         "nothing)",
                         ckpt::backendName(backend));
-    if (placementSlack < 0.0 || placementSlack > 1.0)
+    if (!(placementSlack >= 0.0 && placementSlack <= 1.0))
         return csprintf("placementSlack must be in [0, 1] (a fraction "
                         "of the checkpoint period), got %g",
                         placementSlack);

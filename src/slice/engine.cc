@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "isa/program.hh"
 
 namespace acr::slice
 {
@@ -24,10 +25,88 @@ SliceEngine::SliceEngine(unsigned num_cores, unsigned size_cap)
         vals.fill(0);
 }
 
-SliceEngine::SliceEngine(unsigned num_cores, const SlicePolicyConfig &policy)
+SliceEngine::SliceEngine(unsigned num_cores, const SlicePolicyConfig &policy,
+                         const isa::Program &program, SliceRoots roots)
     : SliceEngine(num_cores)
 {
     depthCap_ = std::min(policy.buildCap(), sizeCap_);
+    actions_ = computeActions(program, roots);
+}
+
+std::vector<std::uint8_t>
+SliceEngine::computeActions(const isa::Program &program, SliceRoots roots)
+{
+    // Backward value liveness over the CFG. Register r is live after
+    // pc when some path from pc reads r, before redefining it, as a
+    // root store's value (rs2) or as an operand of a tracked
+    // arithmetic instruction; addresses and branch operands never
+    // count. A register-writing instruction is tracked iff its rd is
+    // live after it. Tracking feeds liveness back (a tracked result's
+    // operands become live), so iterate from empty sets to the least
+    // fixpoint. Branch targets are immediates and faults flip only
+    // values, so every dynamic path is a CFG path.
+    using RegSet = std::uint32_t;
+    static_assert(isa::kNumRegs <= 32, "RegSet holds one bit per reg");
+    auto bit = [](isa::Reg r) {
+        ACR_ASSERT(r < isa::kNumRegs, "register r%u out of range", r);
+        return RegSet{1} << r;
+    };
+    auto isRoot = [roots](const isa::Instruction &inst) {
+        return isa::isStore(inst.op) &&
+               (roots == SliceRoots::kAllStores || inst.sliceHint);
+    };
+
+    const std::size_t size = program.size();
+    std::vector<RegSet> liveIn(size, 0);
+    auto liveOut = [&](std::size_t pc) {
+        const isa::Instruction &inst = program.at(pc);
+        RegSet out = 0;
+        if (inst.op != Opcode::kHalt && inst.op != Opcode::kJmp &&
+            pc + 1 < size)
+            out |= liveIn[pc + 1];
+        if (isa::isBranch(inst.op) && inst.imm >= 0 &&
+            static_cast<std::size_t>(inst.imm) < size)
+            out |= liveIn[static_cast<std::size_t>(inst.imm)];
+        return out;
+    };
+
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (std::size_t pc = size; pc-- > 0;) {
+            const isa::Instruction &inst = program.at(pc);
+            RegSet live = liveOut(pc);
+            if (isa::writesReg(inst.op)) {
+                // An untracked def still ends its register's liveness:
+                // the readers after it read its value, not an older
+                // one, and none of them is a tracked use.
+                const bool tracked = (live & bit(inst.rd)) != 0;
+                live &= ~bit(inst.rd);
+                if (tracked && isa::isSliceable(inst.op)) {
+                    if (isa::readsRs1(inst.op))
+                        live |= bit(inst.rs1);
+                    if (isa::readsRs2(inst.op))
+                        live |= bit(inst.rs2);
+                }
+            } else if (isRoot(inst)) {
+                live |= bit(inst.rs2);
+            }
+            if (live != liveIn[pc]) {
+                liveIn[pc] = live;
+                changed = true;
+            }
+        }
+    }
+
+    std::vector<std::uint8_t> actions(size, kNoResult);
+    for (std::size_t pc = 0; pc < size; ++pc) {
+        const isa::Instruction &inst = program.at(pc);
+        if (isa::writesReg(inst.op))
+            actions[pc] =
+                (liveOut(pc) & bit(inst.rd)) != 0 ? kTracked : kUntracked;
+        else if (isRoot(inst))
+            actions[pc] = kTracked;
+    }
+    return actions;
 }
 
 SliceEngine::~SliceEngine()
@@ -36,6 +115,162 @@ SliceEngine::~SliceEngine()
         for (NodeRef ref : regs)
             if (holdsNode(ref))
                 release(ref);
+}
+
+inline SliceEngine::NodeRef
+SliceEngine::alloc()
+{
+    NodeRef ref;
+    if (freeHead_ != kNil) {
+        ref = freeHead_;
+        freeHead_ = arena_[ref].in1;
+    } else {
+        ref = static_cast<NodeRef>(arena_.size());
+        arena_.emplace_back();
+    }
+    Node &node = arena_[ref];
+    node.in1 = kNil;
+    node.in2 = kNil;
+    node.refs = 1;
+    node.buildEpoch = 0;
+    ++liveNodes_;
+    ++counters_.nodesAllocated;
+    return ref;
+}
+
+inline SliceEngine::NodeRef
+SliceEngine::leaf(Word value)
+{
+    NodeRef ref = alloc();
+    Node &node = arena_[ref];
+    node.depth = 0;
+    node.op = isa::Opcode::kMovi;
+    node.imm = 0;
+    node.value = value;
+    node.approxSize = 1;
+    return ref;
+}
+
+void
+SliceEngine::track(const cpu::InstrEvent &event)
+{
+    const isa::Instruction &inst = *event.inst;
+    ACR_ASSERT(event.core < numCores_, "event from unknown core %u",
+               event.core);
+    auto &regs = regNodes_[event.core];
+    auto &vals = regValues_[event.core];
+
+    if (isa::isLoad(inst.op) || inst.op == isa::Opcode::kTid) {
+        // Memory instructions and tid reads terminate slices: the value
+        // itself becomes a capturable input operand. The leaf stays
+        // lazy — a value parked in the slot — so a loaded value that is
+        // stored or overwritten without arith use never costs a node.
+        NodeRef old = regs[inst.rd];
+        regs[inst.rd] = kLazy;
+        vals[inst.rd] = event.result;
+        if (holdsNode(old))
+            release(old);
+        return;
+    }
+
+    if (!isSliceable(inst.op))
+        return;  // stores, branches, barriers, halt: no register change
+
+    const bool use1 = isa::readsRs1(inst.op);
+    const bool use2 = isa::readsRs2(inst.op);
+
+    // The result's approxSize and depth. A kDeep operand is deeper
+    // than the cap, so it makes the result deep too (~0u).
+    std::uint64_t approx = 1;
+    unsigned depth = 1;
+    auto account = [&](isa::Reg r) {
+        const NodeRef src = regs[r];
+        if (src == kLazy)
+            return;
+        if (src == kDeep) {
+            approx += vals[r];
+            depth = ~0u;
+            return;
+        }
+        const Node &node = arena_[src];
+        if (node.depth != 0) {
+            approx += node.approxSize;
+            depth = std::max(depth, node.depth + 1u);
+        }
+    };
+    if (use1)
+        account(inst.rs1);
+    if (use2)
+        account(inst.rs2);
+
+    if (approx > sizeCap_) {
+        // Chain exceeds every threshold under study: collapse to an
+        // opaque leaf — in the lazy representation, no node at all.
+        // This bounds tracking memory, builder work, and teardown
+        // depth.
+        NodeRef old = regs[inst.rd];
+        regs[inst.rd] = kLazy;
+        vals[inst.rd] = event.result;
+        if (holdsNode(old))
+            release(old);
+        return;
+    }
+
+    if (depth > depthCap_) {
+        // No admissible Slice can contain this result: keep only the
+        // approxSize its consumers' collapse test needs. Its lazy
+        // operands stay lazy; the next shallow reader materializes
+        // and shares them exactly as it would have.
+        NodeRef old = regs[inst.rd];
+        regs[inst.rd] = kDeep;
+        vals[inst.rd] = approx;
+        ++counters_.deepResults;
+        if (holdsNode(old))
+            release(old);
+        return;
+    }
+
+    // Materialize lazy inputs before the node alloc: leaf() may grow
+    // the arena, and a materialized leaf parked back in its slot is
+    // shared by every later reader of the same register (identical
+    // sharing — and therefore identical emitted slices — to the eager
+    // scheme).
+    NodeRef in1 = kNil;
+    NodeRef in2 = kNil;
+    if (use1) {
+        if (regs[inst.rs1] == kLazy)
+            regs[inst.rs1] = leaf(vals[inst.rs1]);
+        in1 = regs[inst.rs1];
+    }
+    if (use2) {
+        if (regs[inst.rs2] == kLazy)
+            regs[inst.rs2] = leaf(vals[inst.rs2]);
+        in2 = regs[inst.rs2];
+    }
+
+    NodeRef ref = alloc();
+    // No further alloc below: the reference stays valid.
+    Node &node = arena_[ref];
+    node.depth = static_cast<std::uint8_t>(std::min(depth, 255u));
+    node.op = inst.op;
+    node.imm = inst.imm;
+    node.value = event.result;
+    node.approxSize = static_cast<std::uint16_t>(approx);
+    if (in1 != kNil) {
+        node.in1 = in1;
+        ++arena_[in1].refs;
+    }
+    if (in2 != kNil) {
+        node.in2 = in2;
+        ++arena_[in2].refs;
+    }
+
+    // Release the overwritten producer only after the inputs are
+    // retained: rd may alias rs1/rs2.
+    NodeRef old = regs[inst.rd];
+    regs[inst.rd] = ref;
+    if (holdsNode(old))
+        release(old);
 }
 
 void
@@ -68,6 +303,10 @@ SliceEngine::buildForStore(const cpu::InstrEvent &event,
 {
     const isa::Instruction &inst = *event.inst;
     ACR_ASSERT(isa::isStore(inst.op), "buildForStore on a non-store");
+    ACR_ASSERT(event.pc >= actions_.size() || actions_[event.pc] == kTracked,
+               "store at pc %zu is not a root of this engine: the "
+               "results it reads are not tracked",
+               event.pc);
     // A Slice is never longer than the size cap, so this asks that
     // every Slice the policy could admit fits the depth cap.
     ACR_ASSERT(std::min(policy.buildCap(), sizeCap_) <= depthCap_,

@@ -7,10 +7,20 @@
  * For every core and register the engine maintains the producer DAG of
  * the current value: arithmetic instructions link to the nodes of their
  * register operands; loads, tid reads and over-long chains become opaque
- * leaves whose *values* are captured. When a store executes, the engine
- * linearizes the DAG behind the stored value into a StaticSlice (arith
- * ops only) plus captured input operands — or reports that no admissible
- * Slice exists.
+ * leaves whose *values* are captured. When a root store executes, the
+ * engine linearizes the DAG behind the stored value into a StaticSlice
+ * (arith ops only) plus captured input operands — or reports that no
+ * admissible Slice exists.
+ *
+ * Value liveness (DESIGN.md §13.2): an engine built for a program and a
+ * root choice (every store for the slice pass, hinted stores for a
+ * ReCkpt run) tracks only the results some CFG path can carry into a
+ * root store's value through arithmetic. A backward liveness pass over
+ * the program computes that once per engine as a per-pc action;
+ * observe() tests it inline and leaves every other result alone — its
+ * register slot keeps a stale producer that no root can read. The
+ * tracking body itself is out of line (engine.cc): inlined into the
+ * core's dispatch loop it cost more than it saved (§13.3).
  *
  * Hot-path layout (DESIGN.md §13.2): nodes live in a flat engine-owned
  * arena addressed by 32-bit indices — a packed 40-byte node with an
@@ -31,13 +41,13 @@
  *    still drives the size-cap collapse of its consumers), and a store
  *    of it is answered without a walk.
  *
- * All of this is pure allocation/bookkeeping layout: every emitted
- * slice is bit-identical to the uncapped engine's (locked by the
- * differential test in tests/slice_test.cpp, perf_equiv_test and
- * golden_stdout). Index addressing also makes the whole engine plain
- * copyable state, which is what lets the prefix-sharing snapshot
- * (DESIGN.md §13.6) clone a mid-run slicer with a handful of vector
- * copies.
+ * All of this is pure allocation/bookkeeping layout: every slice built
+ * at a root store is bit-identical to the uncapped, untracked engine's
+ * (locked by the differential tests in tests/slice_test.cpp,
+ * perf_equiv_test and golden_stdout). Index addressing also makes the
+ * whole engine plain copyable state, which is what lets the
+ * prefix-sharing snapshot (DESIGN.md §13.6) clone a mid-run slicer with
+ * a handful of vector copies.
  */
 
 #ifndef ACR_SLICE_ENGINE_HH
@@ -56,6 +66,11 @@
 #include "slice/policy.hh"
 #include "slice/static_slice.hh"
 
+namespace acr::isa
+{
+class Program;
+} // namespace acr::isa
+
 namespace acr::slice
 {
 
@@ -68,13 +83,24 @@ struct BuiltSlice
     Word value = 0;
 };
 
+/** Which stores build Slices, and so which results an engine tracks. */
+enum class SliceRoots
+{
+    /** Every store: the slice pass tries each one. */
+    kAllStores,
+    /** Stores carrying the pass's sliceHint: the only ones a ReCkpt
+     *  run's AcrEngine builds at. */
+    kHintedStores,
+};
+
 /** Per-register producer tracking plus the slice builder. */
 class SliceEngine
 {
   public:
     /**
-     * Uncapped engine: keeps a node for every result below the size
-     * cap, so it can build for any policy.
+     * Uncapped, untracked engine: keeps a node for every result below
+     * the size cap, at every pc, so it can build for any policy at any
+     * store. The reference the tracked engines are tested against.
      * @param num_cores  cores to track
      * @param size_cap   producer chains whose (approximate) instruction
      *                   count exceeds this become opaque leaves; bounds
@@ -85,11 +111,14 @@ class SliceEngine
                          unsigned size_cap = kSliceSizeCap);
 
     /**
-     * Depth-capped engine for one policy: results deeper than
-     * @p policy.buildCap() get no node. buildForStore() then only
-     * accepts policies whose Slices fit that cap.
+     * Depth-capped, tracked engine for one run of @p program: results
+     * deeper than @p policy.buildCap() get no node, and results no
+     * @p roots store can read get no tracking at all. buildForStore()
+     * then only accepts root stores and policies whose Slices fit the
+     * cap. Only the program's code is read, and only here.
      */
-    SliceEngine(unsigned num_cores, const SlicePolicyConfig &policy);
+    SliceEngine(unsigned num_cores, const SlicePolicyConfig &policy,
+                const isa::Program &program, SliceRoots roots);
     ~SliceEngine();
 
     // Index-addressed state: copying the engine copies the whole DAG,
@@ -99,16 +128,16 @@ class SliceEngine
 
     /**
      * Feed one retired instruction (call for every instruction).
-     * Defined inline below: with the observer devirtualized into the
-     * core's dispatch loop, this is the hottest function in the
-     * simulator, and keeping it in the header lets the whole
-     * alloc/retain/release path fold into the caller.
+     * Only the per-pc tracking test is inline (below): with the
+     * observer devirtualized into the core's dispatch loop it runs for
+     * every simulated instruction, and most of them are untracked.
+     * The tracking body is out of line (DESIGN.md §13.3).
      */
     void observe(const cpu::InstrEvent &event);
 
     /**
-     * Build the Slice for the value a store wrote (the producer DAG of
-     * rs2 at the time of @p event).
+     * Build the Slice for the value a root store wrote (the producer
+     * DAG of rs2 at the time of @p event).
      * @return nullptr when the value has no admissible Slice under
      *         @p policy (producer is a load, chain too long, too many
      *         inputs). A non-null result points into engine-owned
@@ -142,10 +171,31 @@ class SliceEngine
         std::uint64_t builds = 0;
         /** Builds answered from the root slot alone (no walk). */
         std::uint64_t walklessBuilds = 0;
+        /** Register results no root store can read (not tracked). */
+        std::uint64_t untrackedResults = 0;
     };
     const Counters &counters() const { return counters_; }
 
   private:
+    /** What observe() does at one pc; computed once per engine. */
+    enum PcAction : std::uint8_t
+    {
+        /** Writes no register (branch, barrier, halt, non-root store). */
+        kNoResult = 0,
+        /** Writes a register no root store can read: skipped. */
+        kUntracked = 1,
+        /** A result some root can read, or a root store: tracked. */
+        kTracked = 2,
+    };
+    /** One PcAction per pc of @p program: the value-liveness pass
+     *  (DESIGN.md §13.2). */
+    static std::vector<std::uint8_t>
+    computeActions(const isa::Program &program, SliceRoots roots);
+
+    /** observe()'s out-of-line body: producer tracking for one
+     *  instruction. */
+    void track(const cpu::InstrEvent &event);
+
     /** Arena index of a node; kNil is the null producer. */
     using NodeRef = std::uint32_t;
     static constexpr NodeRef kNil = 0xFFFFFFFFu;
@@ -216,6 +266,9 @@ class SliceEngine
     const BuiltSlice *buildFromNode(NodeRef root,
                                     const SlicePolicyConfig &policy);
 
+    /** PcAction per static pc; empty in the reference engine, which
+     *  tracks every pc and accepts every store. */
+    std::vector<std::uint8_t> actions_;
     unsigned numCores_;
     unsigned sizeCap_;
     /** Results deeper than this get no node (sizeCap_: uncapped). */
@@ -244,160 +297,18 @@ class SliceEngine
     Counters counters_;
 };
 
-inline SliceEngine::NodeRef
-SliceEngine::alloc()
-{
-    NodeRef ref;
-    if (freeHead_ != kNil) {
-        ref = freeHead_;
-        freeHead_ = arena_[ref].in1;
-    } else {
-        ref = static_cast<NodeRef>(arena_.size());
-        arena_.emplace_back();
-    }
-    Node &node = arena_[ref];
-    node.in1 = kNil;
-    node.in2 = kNil;
-    node.refs = 1;
-    node.buildEpoch = 0;
-    ++liveNodes_;
-    ++counters_.nodesAllocated;
-    return ref;
-}
-
-inline SliceEngine::NodeRef
-SliceEngine::leaf(Word value)
-{
-    NodeRef ref = alloc();
-    Node &node = arena_[ref];
-    node.depth = 0;
-    node.op = isa::Opcode::kMovi;
-    node.imm = 0;
-    node.value = value;
-    node.approxSize = 1;
-    return ref;
-}
-
 inline void
 SliceEngine::observe(const cpu::InstrEvent &event)
 {
-    const isa::Instruction &inst = *event.inst;
-    ACR_ASSERT(event.core < numCores_, "event from unknown core %u",
-               event.core);
-    auto &regs = regNodes_[event.core];
-    auto &vals = regValues_[event.core];
-
-    if (isa::isLoad(inst.op) || inst.op == isa::Opcode::kTid) {
-        // Memory instructions and tid reads terminate slices: the value
-        // itself becomes a capturable input operand. The leaf stays
-        // lazy — a value parked in the slot — so a loaded value that is
-        // stored or overwritten without arith use never costs a node.
-        NodeRef old = regs[inst.rd];
-        regs[inst.rd] = kLazy;
-        vals[inst.rd] = event.result;
-        if (holdsNode(old))
-            release(old);
-        return;
-    }
-
-    if (!isSliceable(inst.op))
-        return;  // stores, branches, barriers, halt: no register change
-
-    const bool use1 = isa::readsRs1(inst.op);
-    const bool use2 = isa::readsRs2(inst.op);
-
-    // The result's approxSize and depth. A kDeep operand is deeper
-    // than the cap, so it makes the result deep too (~0u).
-    std::uint64_t approx = 1;
-    unsigned depth = 1;
-    auto account = [&](isa::Reg r) {
-        const NodeRef src = regs[r];
-        if (src == kLazy)
-            return;
-        if (src == kDeep) {
-            approx += vals[r];
-            depth = ~0u;
+    if (event.pc < actions_.size()) {
+        const std::uint8_t action = actions_[event.pc];
+        if (action != kTracked) {
+            // kUntracked counts one result, kNoResult none.
+            counters_.untrackedResults += action;
             return;
         }
-        const Node &node = arena_[src];
-        if (node.depth != 0) {
-            approx += node.approxSize;
-            depth = std::max(depth, node.depth + 1u);
-        }
-    };
-    if (use1)
-        account(inst.rs1);
-    if (use2)
-        account(inst.rs2);
-
-    if (approx > sizeCap_) {
-        // Chain exceeds every threshold under study: collapse to an
-        // opaque leaf — in the lazy representation, no node at all.
-        // This bounds tracking memory, builder work, and teardown
-        // depth.
-        NodeRef old = regs[inst.rd];
-        regs[inst.rd] = kLazy;
-        vals[inst.rd] = event.result;
-        if (holdsNode(old))
-            release(old);
-        return;
     }
-
-    if (depth > depthCap_) {
-        // No admissible Slice can contain this result: keep only the
-        // approxSize its consumers' collapse test needs. Its lazy
-        // operands stay lazy; the next shallow reader materializes
-        // and shares them exactly as it would have.
-        NodeRef old = regs[inst.rd];
-        regs[inst.rd] = kDeep;
-        vals[inst.rd] = approx;
-        ++counters_.deepResults;
-        if (holdsNode(old))
-            release(old);
-        return;
-    }
-
-    // Materialize lazy inputs before the node alloc: leaf() may grow
-    // the arena, and a materialized leaf parked back in its slot is
-    // shared by every later reader of the same register (identical
-    // sharing — and therefore identical emitted slices — to the eager
-    // scheme).
-    NodeRef in1 = kNil;
-    NodeRef in2 = kNil;
-    if (use1) {
-        if (regs[inst.rs1] == kLazy)
-            regs[inst.rs1] = leaf(vals[inst.rs1]);
-        in1 = regs[inst.rs1];
-    }
-    if (use2) {
-        if (regs[inst.rs2] == kLazy)
-            regs[inst.rs2] = leaf(vals[inst.rs2]);
-        in2 = regs[inst.rs2];
-    }
-
-    NodeRef ref = alloc();
-    // No further alloc below: the reference stays valid.
-    Node &node = arena_[ref];
-    node.depth = static_cast<std::uint8_t>(std::min(depth, 255u));
-    node.op = inst.op;
-    node.imm = inst.imm;
-    node.value = event.result;
-    node.approxSize = static_cast<std::uint16_t>(approx);
-    if (in1 != kNil) {
-        node.in1 = in1;
-        ++arena_[in1].refs;
-    }
-    if (in2 != kNil) {
-        node.in2 = in2;
-        ++arena_[in2].refs;
-    }
-
-    // Release the overwritten producer only after the inputs are
-    // retained: rd may alias rs1/rs2.
-    NodeRef old = regs[inst.rd];
-    regs[inst.rd] = ref;
-    if (holdsNode(old))
-        release(old);
+    track(event);
 }
 
 } // namespace acr::slice

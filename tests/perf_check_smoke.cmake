@@ -2,8 +2,9 @@
 # must be validated (a non-numeric value used to escape as an uncaught
 # ValueError traceback, and negative/NaN/>=1 values made the gate
 # vacuous — floor <= 0 or NaN comparisons pass everything). Each bad
-# value must exit 2 with a clean usage message, and the committed
-# baseline compared against itself must still pass.
+# value must exit 2 with a clean usage message, the committed
+# baseline compared against itself must still pass, and a counter
+# raised above the baseline's must fail.
 #
 # Invoke with
 #   cmake -DPYTHON=<python3> -DPERF_CHECK=<scripts/perf_check>
@@ -77,3 +78,26 @@ if(NOT out MATCHES "perf_check: OK")
     message(FATAL_ERROR "baseline vs itself: missing OK line:\n${out}")
 endif()
 message(STATUS "baseline vs itself passes the gate")
+
+# Counters gate: the deterministic work counts must not exceed the
+# baseline's. One counter raised by one, everything else equal, must
+# fail with a line naming it.
+file(READ "${BASELINE}" doc)
+string(JSON builds GET "${doc}" counters slice_builds)
+math(EXPR inflated "${builds} + 1")
+string(JSON doc SET "${doc}" counters slice_builds "${inflated}")
+set(inflated_json "${CMAKE_CURRENT_BINARY_DIR}/perf_check_inflated.json")
+file(WRITE "${inflated_json}" "${doc}")
+execute_process(
+    COMMAND "${PYTHON}" "${PERF_CHECK}" "${inflated_json}" "${BASELINE}"
+    RESULT_VARIABLE code
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+if(NOT code EQUAL 1)
+    message(FATAL_ERROR
+            "inflated counter: want exit 1, got '${code}'\n${out}${err}")
+endif()
+if(NOT err MATCHES "REGRESSION: counter slice_builds")
+    message(FATAL_ERROR "inflated counter: not named; stderr:\n${err}")
+endif()
+message(STATUS "an inflated counter fails the gate")

@@ -5,7 +5,8 @@
  * backward slicer, the property that replaying a captured Slice
  * reproduces the stored value bit-for-bit for randomized programs, and
  * the differential check that a depth-capped slicer builds exactly what
- * the uncapped one does.
+ * the uncapped one does, and that a value-liveness tracked slicer
+ * builds exactly what the untracked one does at every root store.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <functional>
 #include <string>
 
+#include "acr/slice_pass.hh"
 #include "cache/hierarchy.hh"
 #include "common/rng.hh"
 #include "cpu/core.hh"
@@ -496,20 +498,27 @@ sameBuild(const BuiltSlice *want, const BuiltSlice *got)
 }
 
 /**
- * Feeds one execution, as the slice pass does, to an uncapped
- * reference engine and to one depth-capped engine per policy. At every
- * store each capped engine must build what the reference builds under
- * the same policy.
+ * Feeds one execution, as the slice pass does, to an uncapped,
+ * untracked reference engine and to one depth-capped engine per policy
+ * and root choice, built from the program (policy-major: engine
+ * i * roots + j has policy i and root choice j). At every store each
+ * capped engine whose root it is must build what the reference builds
+ * under the same policy; hinted-root engines build only at hinted
+ * stores, as a ReCkpt run's AcrEngine does.
  */
 class DifferentialFeed final : public cpu::ExecObserver
 {
   public:
-    DifferentialFeed(unsigned cores, std::vector<SlicePolicyConfig> policies)
-        : policies_(std::move(policies)), reference_(cores)
+    DifferentialFeed(unsigned cores, const isa::Program &program,
+                     std::vector<SlicePolicyConfig> policies,
+                     std::vector<SliceRoots> roots = {SliceRoots::kAllStores})
+        : policies_(std::move(policies)), roots_(std::move(roots)),
+          reference_(cores)
     {
-        capped_.reserve(policies_.size());
+        capped_.reserve(policies_.size() * roots_.size());
         for (const SlicePolicyConfig &policy : policies_)
-            capped_.emplace_back(cores, policy);
+            for (SliceRoots root : roots_)
+                capped_.emplace_back(cores, policy, program, root);
     }
 
     void
@@ -524,14 +533,22 @@ class DifferentialFeed final : public cpu::ExecObserver
         for (std::size_t i = 0; i < policies_.size(); ++i) {
             const BuiltSlice *want =
                 reference_.buildForStore(event, policies_[i]);
-            const BuiltSlice *got =
-                capped_[i].buildForStore(event, policies_[i]);
             if (want)
                 ++admissible;
-            if (!sameBuild(want, got) && mismatches++ == 0)
-                firstMismatch = "store " + std::to_string(stores) +
-                                " at pc " + std::to_string(event.pc) +
-                                " under policy " + std::to_string(i);
+            for (std::size_t j = 0; j < roots_.size(); ++j) {
+                if (roots_[j] == SliceRoots::kHintedStores &&
+                    !event.inst->sliceHint)
+                    continue;
+                const BuiltSlice *got =
+                    capped_[i * roots_.size() + j].buildForStore(
+                        event, policies_[i]);
+                ++compared;
+                if (!sameBuild(want, got) && mismatches++ == 0)
+                    firstMismatch = "store " + std::to_string(stores) +
+                                    " at pc " + std::to_string(event.pc) +
+                                    " under policy " + std::to_string(i) +
+                                    ", roots " + std::to_string(j);
+            }
         }
         if (afterStore)
             afterStore(stores);
@@ -554,11 +571,14 @@ class DifferentialFeed final : public cpu::ExecObserver
 
     std::uint64_t stores = 0;
     std::uint64_t admissible = 0;
+    /** Capped builds checked against the reference. */
+    std::uint64_t compared = 0;
     std::uint64_t mismatches = 0;
     std::string firstMismatch;
 
   private:
     std::vector<SlicePolicyConfig> policies_;
+    std::vector<SliceRoots> roots_;
     SliceEngine reference_;
     std::vector<SliceEngine> capped_;
 };
@@ -587,8 +607,9 @@ class DepthCapDifferential : public testing::TestWithParam<std::uint64_t>
 TEST_P(DepthCapDifferential, RandomProgramsBuildIdentically)
 {
     SliceRig rig(randomProgram(GetParam()));
-    DifferentialFeed feed(1, {greedy(3), greedy(10), greedy(10, 2),
-                              greedy(64), costModel()});
+    DifferentialFeed feed(1, rig.program,
+                          {greedy(3), greedy(10), greedy(10, 2), greedy(64),
+                           costModel()});
     // A rollback mid-run: every register becomes an opaque leaf.
     feed.afterStore = [&](std::uint64_t store) {
         if (store != 10)
@@ -625,7 +646,7 @@ TEST(DepthCap, SquaringChainIsShallowDespiteItsApproxSize)
     SliceRig rig(b.build());
 
     const SlicePolicyConfig policy = greedy(10);
-    rig.engine = SliceEngine(1, policy);
+    rig.engine = SliceEngine(1, policy, rig.program, SliceRoots::kAllStores);
     auto built = rig.run(policy);
 
     ASSERT_EQ(built.size(), 1u);
@@ -651,7 +672,7 @@ TEST(DepthCap, DeepStoreIsAnsweredWithoutAWalk)
     b.store(2, 1);
     b.halt();
     SliceRig rig(b.build());
-    DifferentialFeed feed(1, {greedy(10)});
+    DifferentialFeed feed(1, rig.program, {greedy(10)});
     rig.core.run(1000, &feed);
 
     EXPECT_EQ(feed.mismatches, 0u) << feed.firstMismatch;
@@ -672,12 +693,229 @@ TEST(DepthCap, CappedEngineRefusesALongerPolicy)
     b.store(2, 1);
     b.halt();
     SliceRig rig(b.build());
-    rig.engine = SliceEngine(1, greedy(10));
+    rig.engine =
+        SliceEngine(1, greedy(10), rig.program, SliceRoots::kAllStores);
     EXPECT_DEATH(rig.run(greedy(11)), "deeper than 10");
 }
 
+// ---------------------------------------------------------------------
+// Value liveness: a tracked engine skips results no root store can
+// read and still builds exactly what the untracked one does
+// ---------------------------------------------------------------------
+
+/**
+ * Random program with data-dependent control flow: if/else diamonds
+ * branching on a value's low bit, inside and outside a counted loop.
+ * The arms compute over r1..r8 and store them; a random subset of the
+ * stores carries the slice hint. Scratch registers r11..r14 feed only
+ * branches and each other, so no store ever reads them.
+ */
+isa::Program
+branchyProgram(std::uint64_t seed)
+{
+    Rng rng(seed);
+    isa::ProgramBuilder b("branchy");
+    auto pool = [&] { return static_cast<isa::Reg>(1 + rng.below(8)); };
+    auto scratch = [&] { return static_cast<isa::Reg>(11 + rng.below(3)); };
+
+    for (unsigned r = 1; r <= 8; ++r)
+        b.movi(static_cast<isa::Reg>(r),
+               static_cast<SWord>(rng.next() & 0xffff));
+    for (Addr a = 0; a < 16; ++a)
+        b.data(200 + a, rng.next());
+    b.movi(20, 200);
+
+    unsigned stores = 0;
+    auto block = [&](int length) {
+        for (int i = 0; i < length; ++i) {
+            const unsigned pick = static_cast<unsigned>(rng.below(9));
+            const isa::Reg rd = pick == 5 || pick == 6 ? scratch() : pool();
+            const isa::Reg rs1 = pick == 6 ? scratch() : pool();
+            const isa::Reg rs2 = pool();
+            switch (pick) {
+              case 0: b.add(rd, rs1, rs2); break;
+              case 1: b.mul(rd, rs1, rs2); break;
+              case 2: b.xor_(rd, rs1, rs2); break;
+              case 3: b.sub(rd, rs1, rs2); break;
+              case 4:
+                b.addi(rd, rs1, static_cast<SWord>(rng.below(1000)));
+                break;
+              case 5: b.add(rd, rs1, rs2); break;
+              case 6:
+                b.shri(rd, rs1, static_cast<SWord>(rng.below(63)));
+                break;
+              case 7:
+                b.load(rd, 20, static_cast<SWord>(rng.below(16)));
+                break;
+              default:
+                b.store(20, rs2, static_cast<SWord>(16 + stores));
+                ++stores;
+                break;
+            }
+        }
+    };
+    unsigned diamonds = 0;
+    auto diamond = [&](int length) {
+        const std::string other = "else" + std::to_string(diamonds);
+        const std::string join = "join" + std::to_string(diamonds++);
+        b.andi(14, rng.below(2) == 0 ? scratch() : pool(), 1);
+        b.beq(14, 0, other);
+        block(length);
+        b.jmp(join);
+        b.label(other);
+        block(length);
+        b.label(join);
+    };
+
+    block(30);
+    diamond(10);
+    b.movi(9, 24);  // loop counter
+    b.movi(10, 0);
+    b.label("loop");
+    diamond(16);
+    block(12);
+    b.store(20, pool(), static_cast<SWord>(16 + stores++));
+    diamond(8);
+    b.addi(9, 9, -1);
+    b.bne(9, 10, "loop");
+    b.halt();
+
+    isa::Program program = b.build();
+    for (isa::Instruction &inst : program.code())
+        if (isa::isStore(inst.op))
+            inst.sliceHint = rng.below(2) == 0;
+    return program;
+}
+
+class LivenessDifferential : public testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(LivenessDifferential, BranchyProgramsBuildIdentically)
+{
+    SliceRig rig(branchyProgram(GetParam()));
+    ASSERT_GT(rig.program.sliceHintedStores(), 0u);
+    DifferentialFeed feed(1, rig.program,
+                          {greedy(3), greedy(10), costModel()},
+                          {SliceRoots::kAllStores, SliceRoots::kHintedStores});
+    // A rollback mid-run: every register becomes an opaque leaf.
+    feed.afterStore = [&](std::uint64_t store) {
+        if (store != 10)
+            return;
+        std::array<Word, isa::kNumRegs> regs{};
+        for (unsigned r = 0; r < isa::kNumRegs; ++r)
+            regs[r] = rig.core.reg(r);
+        feed.resetCore(0, regs);
+    };
+    rig.core.run(1u << 22, &feed);
+
+    EXPECT_GT(feed.stores, 10u) << "the reset never ran";
+    EXPECT_GT(feed.admissible, 0u) << "degenerate program";
+    EXPECT_GT(feed.compared, feed.stores * 3) << "no hinted store ran";
+    const SliceEngine::Counters &all = feed.capped(0).counters();
+    const SliceEngine::Counters &hinted = feed.capped(1).counters();
+    EXPECT_GT(all.untrackedResults, 0u);
+    EXPECT_GE(hinted.untrackedResults, all.untrackedResults);
+    EXPECT_EQ(feed.mismatches, 0u) << "first: " << feed.firstMismatch;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LivenessDifferential,
+                         testing::Range<std::uint64_t>(1, 21));
+
+/** r5 is read on the fall-through arm and redefined, unread, on the
+ *  taken one. */
+isa::Program
+diamondProgram(bool take_branch)
+{
+    isa::ProgramBuilder b("diamond");
+    b.movi(1, 3);
+    b.movi(3, take_branch ? 0 : 1);  // a branch operand only
+    b.addi(5, 1, 4);                 // live into the fall-through arm
+    b.beq(3, 0, "taken");
+    b.mul(2, 5, 5);
+    b.jmp("join");
+    b.label("taken");
+    b.movi(5, 0);  // r5 is dead here: never read again
+    b.movi(2, 9);
+    b.label("join");
+    b.movi(4, 100);  // an address only
+    b.store(4, 2);
+    b.halt();
+    return b.build();
+}
+
+TEST(Liveness, RegisterTrackedOnOneArmIsDeadOnTheOther)
+{
+    const SlicePolicyConfig policy = greedy(10);
+    for (bool take_branch : {false, true}) {
+        SCOPED_TRACE(take_branch ? "taken arm" : "fall-through arm");
+        SliceRig rig(diamondProgram(take_branch));
+        rig.engine =
+            SliceEngine(1, policy, rig.program, SliceRoots::kAllStores);
+        auto built = rig.run(policy);
+
+        ASSERT_EQ(built.size(), 1u);
+        ASSERT_TRUE(built[0].has_value());
+        // Fall-through: movi, addi, mul. Taken: the movi 9 alone.
+        EXPECT_EQ(built[0]->slice.length(), take_branch ? 1u : 3u);
+        EXPECT_EQ(built[0]->value, take_branch ? 9u : 49u);
+        // Both arms skip the branch operand and the address; the taken
+        // one also skips its redefinition of r5.
+        EXPECT_EQ(rig.engine.counters().untrackedResults,
+                  take_branch ? 3u : 2u);
+    }
+}
+
+TEST(Liveness, UntrackedDefLeavesAStaleNodeATrackedDefReplaces)
+{
+    isa::ProgramBuilder b("stale");
+    b.movi(1, 3);
+    b.addi(2, 1, 1);
+    b.muli(2, 2, 5);
+    b.movi(4, 100);  // an address only
+    b.store(4, 2);
+    b.addi(2, 2, 1);  // used only as the next store's address
+    b.store(2, 1);
+    b.movi(2, 9);     // tracked: replaces the stale producer
+    b.store(4, 2, 1);
+    b.halt();
+    SliceRig rig(b.build());
+    DifferentialFeed feed(1, rig.program, {greedy(10)});
+    std::vector<std::size_t> live;
+    std::vector<std::size_t> reference;
+    feed.afterStore = [&](std::uint64_t) {
+        live.push_back(feed.capped(0).liveNodes());
+        reference.push_back(feed.reference().liveNodes());
+    };
+    rig.core.run(1000, &feed);
+
+    EXPECT_EQ(feed.mismatches, 0u) << feed.firstMismatch;
+    EXPECT_EQ(feed.admissible, 3u);
+    EXPECT_EQ(feed.capped(0).counters().untrackedResults, 2u);
+    // The untracked addi leaves r2's slot on the muli node, which keeps
+    // itself and the addi below it alive until movi 9 replaces it. The
+    // reference also tracks movi 100 and the second addi.
+    EXPECT_EQ(live, (std::vector<std::size_t>{3, 3, 2}));
+    EXPECT_EQ(reference, (std::vector<std::size_t>{4, 5, 3}));
+}
+
+TEST(Liveness, EngineRefusesANonRootStore)
+{
+    isa::ProgramBuilder b("unhinted");
+    b.movi(1, 7);
+    b.movi(2, 100);
+    b.store(2, 1);
+    b.halt();
+    SliceRig rig(b.build());
+    rig.engine = SliceEngine(1, greedy(10), rig.program,
+                             SliceRoots::kHintedStores);
+    EXPECT_DEATH(rig.run(greedy(10)), "not a root");
+}
+
 /** All 8 kernels under the pass's observer, at each kernel's
- *  threshold and under the cost model. */
+ *  threshold and under the cost model, with every store a root (the
+ *  slice pass) and with the pass's hinted stores as roots (a ReCkpt
+ *  run). */
 class KernelDepthCap : public testing::TestWithParam<std::string>
 {
 };
@@ -686,24 +924,35 @@ TEST_P(KernelDepthCap, BuildsIdenticallyToUncapped)
 {
     workloads::WorkloadParams params;
     params.threads = 2;
+    const sim::MachineConfig machine =
+        sim::MachineConfig::tableI(params.threads);
+    const SlicePolicyConfig policy =
+        greedy(harness::Runner::defaultThreshold(GetParam()));
     const isa::Program program =
-        workloads::makeWorkload(GetParam())->build(params);
-    sim::MulticoreSystem system(sim::MachineConfig::tableI(params.threads),
-                                program);
-    DifferentialFeed feed(
-        params.threads,
-        {greedy(harness::Runner::defaultThreshold(GetParam())),
-         costModel()});
+        amnesic::SlicePass::run(
+            workloads::makeWorkload(GetParam())->build(params), machine,
+            policy)
+            .program;
+    ASSERT_GT(program.sliceHintedStores(), 0u);
+    sim::MulticoreSystem system(machine, program);
+    DifferentialFeed feed(params.threads, program, {policy, costModel()},
+                          {SliceRoots::kAllStores, SliceRoots::kHintedStores});
     system.runToCompletionWith(&feed);
 
     EXPECT_GT(feed.admissible, 0u);
     EXPECT_EQ(feed.mismatches, 0u) << "first: " << feed.firstMismatch;
     const SliceEngine::Counters &capped = feed.capped(0).counters();
+    const SliceEngine::Counters &hinted = feed.capped(1).counters();
     const SliceEngine::Counters &uncapped = feed.reference().counters();
     EXPECT_GT(capped.deepResults, 0u);
     EXPECT_LT(capped.nodesAllocated, uncapped.nodesAllocated);
     EXPECT_EQ(capped.builds, feed.stores);
+    EXPECT_GT(hinted.builds, 0u);
+    EXPECT_LT(hinted.builds, feed.stores);
+    // Fewer roots can only make fewer results live.
+    EXPECT_GE(hinted.untrackedResults, capped.untrackedResults);
     EXPECT_EQ(uncapped.deepResults, 0u);
+    EXPECT_EQ(uncapped.untrackedResults, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

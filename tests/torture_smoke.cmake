@@ -10,6 +10,7 @@
 #      repro line — and a nonzero exit — instead of an abort.
 #   3. The campaign knobs reach the run through the environment path
 #      (ACR_TORTURE_* shares the flags' strict parser).
+#   4. A non-finite --lats value is refused with a named error.
 #
 # Invoke with
 #   cmake -DBENCH=<path to torture> -DOUT=<scratch dir>
@@ -103,5 +104,24 @@ if(NOT stderr MATCHES "ACR_TORTURE_ERRORS")
             "parse error does not name the variable:\n${stderr}")
 endif()
 
+# 4. A NaN latency parses as a double but is no fraction: it must be
+#    refused up front with a named error (exit 1), not reach a run,
+#    where it used to abort the process.
+execute_process(
+    COMMAND "${BENCH}" --workloads=is --modes=ckpt --coords=global
+            --seeds=1 --errors=1 --lats=nan --jobs=1
+    OUTPUT_QUIET
+    ERROR_VARIABLE stderr
+    RESULT_VARIABLE status)
+if(NOT status EQUAL 1)
+    message(FATAL_ERROR "--lats=nan: expected exit 1, got ${status}:\n"
+                        "${stderr}")
+endif()
+if(NOT stderr MATCHES "--lats")
+    message(FATAL_ERROR "--lats=nan: error does not name the flag:\n"
+                        "${stderr}")
+endif()
+
 message(STATUS "torture smoke: clean campaign deterministic, "
-               "violation reported and shrunk, env path strict")
+               "violation reported and shrunk, env path strict, "
+               "NaN latency refused")

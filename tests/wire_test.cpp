@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 #include <string>
 #include <vector>
@@ -354,6 +355,8 @@ TEST(ConfigValidate, NamesTheOffendingField)
     expectNames(config, "detectionLatencyFraction");
     config.detectionLatencyFraction = -0.1;
     expectNames(config, "detectionLatencyFraction");
+    config.detectionLatencyFraction = std::nan("");
+    expectNames(config, "detectionLatencyFraction");
 
     config = {};
     config.placement = PlacementPolicy::kRecomputeAware;
@@ -371,6 +374,8 @@ TEST(ConfigValidate, NamesTheOffendingField)
 
     config = {};
     config.placementSlack = 1.01;
+    expectNames(config, "placementSlack");
+    config.placementSlack = std::nan("");
     expectNames(config, "placementSlack");
 
     config = {};
