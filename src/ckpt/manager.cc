@@ -357,6 +357,7 @@ CheckpointManager::recover(CoreId failing, Cycle error_time,
         outcome.affected = affected;
         outcome.unrecoverable = true;
         outcome.failureDetail = detail;
+        outcome.errorTime = error_time;
         outcome.replicaSwitches = state.replicaSwitches;
         outcome.retargets = retargets;
         return outcome;
@@ -401,12 +402,23 @@ CheckpointManager::recover(CoreId failing, Cycle error_time,
                 break;
             }
         }
-        if (target == nullptr && store_->faultsArmed())
+        if (target == nullptr) {
+            // Either the integrity layer refused every checkpoint that
+            // predates the error, or latent compute errors outlived the
+            // retention window and none predates it at all.
+            const bool predates = std::any_of(
+                retained_.begin(), retained_.end(),
+                [&](const Checkpoint &ckpt) {
+                    return ckpt.establishedAt < error_time &&
+                           (ckpt.validFor & affected) == affected;
+                });
             return unrecoverable(
-                "no intact rollback target for the affected cores");
-        ACR_ASSERT(target != nullptr,
-                   "no safe checkpoint: detection latency exceeded the "
-                   "checkpoint period");
+                predates ? "no intact rollback target for the affected "
+                           "cores"
+                         : "no safe checkpoint: every retained "
+                           "checkpoint postdates the error or excludes "
+                           "the affected cores");
+        }
 
         // Apply undo logs newest -> oldest; older records overwrite
         // newer ones, landing memory on the target checkpoint's state.

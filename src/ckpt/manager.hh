@@ -62,13 +62,17 @@ struct RecoveryOutcome
      *  (arch state) and restarted against the older retained
      *  checkpoint (second rung; wider recompute window). */
     unsigned retargets = 0;
-    /** Every rung failed: the machine cannot be restored to any safe
-     *  checkpoint. The run must surface a structured failure (exit 5)
-     *  — none of the other fields below affected/failureDetail are
-     *  meaningful. */
+    /** Every rung failed, or latent compute errors left no retained
+     *  checkpoint that predates the error: the machine cannot be
+     *  restored to any safe checkpoint. The run must surface a
+     *  structured failure (exit 5) — only affected, failureDetail and
+     *  errorTime are meaningful. */
     bool unrecoverable = false;
     /** Which datum was unserveable, when unrecoverable. */
     std::string failureDetail;
+    /** Cycle the detected error occurred at, when unrecoverable (the
+     *  oracle checks the verdict against the retained checkpoints). */
+    Cycle errorTime = 0;
 };
 
 /** The checkpointing and recovery substrate. */

@@ -236,9 +236,6 @@ class CheckpointStore
      *  reliable-medium model, the default). */
     void setFaultInjector(fault::StorageFaultInjector *faults);
 
-    /** Is a storage-fault injector armed? */
-    bool faultsArmed() const { return faults_ != nullptr; }
-
     /** The manager finished establishing @p ckpt: checksum its stored
      *  data and apply the storage-fault events due at its ordinal. */
     void onEstablished(const Checkpoint &ckpt);

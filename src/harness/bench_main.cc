@@ -372,8 +372,8 @@ mergeShardFiles(const BenchSpec &spec,
  * Report quarantined and unrecoverable points (results[slot] belongs
  * to grid index indices[slot]) to stderr and pick the process exit
  * code: kExitClean for a clean sweep, kExitQuarantine when any point
- * failed every attempt, kExitUnrecoverable when any point's storage
- * faults defeated the escalation ladder (precedence:
+ * failed every attempt, kExitUnrecoverable when any point lost its
+ * last safe rollback target (precedence:
  * harness/exit_code.hh).
  */
 int
@@ -412,8 +412,8 @@ quarantineExit(const std::vector<GridPoint> &grid,
     }
     if (losses != 0) {
         std::cerr << "[sweep] " << losses << " of " << results.size()
-                  << " point(s) unrecoverable: storage faults "
-                     "defeated every escalation rung (DESIGN.md §16)\n";
+                  << " point(s) unrecoverable: no safe rollback "
+                     "target was left (DESIGN.md §16)\n";
         code = combineExitCodes(code, kExitUnrecoverable);
     }
     return code;

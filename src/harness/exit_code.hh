@@ -14,8 +14,9 @@
  * divergence means "a measurement itself is wrong" (the recovery
  * oracle caught the engine misbehaving); unrecoverable means "the
  * modeled machine itself was lost" (storage faults defeated every
- * escalation rung, DESIGN.md §16) — the strongest statement a
- * campaign can make, so it dominates everything.
+ * escalation rung, or latent errors outlived every retained
+ * checkpoint, DESIGN.md §16) — the strongest statement a campaign
+ * can make, so it dominates everything.
  * Codes 1/2 are not combinable verdicts: 1 is fatal()'s path (bad
  * flags, broken wire records) and exits immediately, 2 is reserved
  * for the platform. combineExitCodes() rejects them loudly rather
@@ -39,9 +40,10 @@ enum ExitCode : int
     /** >= 1 recovery-oracle divergence: the engine produced a wrong
      *  measurement (torture / fault campaigns). */
     kExitDivergence = 4,
-    /** >= 1 point ended unrecoverable: storage faults defeated every
-     *  escalation rung and the run surfaced a structured loss-of-
-     *  machine outcome (storage-fault campaigns). */
+    /** >= 1 point ended unrecoverable: no safe rollback target was
+     *  left (storage faults defeated every escalation rung, or latent
+     *  errors outlived every retained checkpoint) and the run surfaced
+     *  a structured loss-of-machine outcome. */
     kExitUnrecoverable = 5,
 };
 

@@ -86,12 +86,6 @@ struct ExperimentConfig
     /** Max deferral under kRecomputeAware, as a fraction of the period. */
     double placementSlack = 0.3;
 
-    /**
-     * Hierarchical checkpointing (Sec. II-A): promote every Nth
-     * in-memory checkpoint to the storage tier (0 disables).
-     */
-    unsigned secondaryPeriod = 0;
-
     /** Seed for error masks. */
     std::uint64_t seed = 0xacce55ULL;
 
@@ -182,15 +176,16 @@ struct ExperimentResult
     std::string failReason;
 
     /**
-     * Storage faults defeated every escalation rung (DESIGN.md §16):
-     * the modeled machine could not be restored to any checkpoint and
+     * Storage faults defeated every escalation rung, or latent errors
+     * outlived every retained checkpoint (DESIGN.md §16): the modeled
+     * machine could not be restored to any checkpoint and
      * the run stopped at the failed recovery. Unlike `failed` this IS
      * a measurement — a deterministic, cacheable statement about the
      * configuration — so cycles/stats hold the partial run up to the
      * loss and only the derived overhead metrics NaN-poison.
      */
     bool unrecoverable = false;
-    /** Which stored datum was unserveable (when unrecoverable). */
+    /** Why no checkpoint was serveable (when unrecoverable). */
     std::string unrecoverableDetail;
 
     /** The quarantine placeholder for a point that failed every

@@ -379,15 +379,25 @@ RecoveryOracle::afterRecovery(const ckpt::CheckpointManager &manager,
         // validate, but the verdict itself must be consistent — a
         // recovery may only be declared unrecoverable after the
         // integrity layer actually detected damage (a corrupt stored
-        // read, or a torn establishment refused at target selection).
+        // read, or a torn establishment refused at target selection),
+        // or when no retained checkpoint predates the error for every
+        // affected core (latent errors outlived the retention window).
         stats_.add("oracle.unrecoverableChecked");
-        if (stats_.get("ckpt.corruptReads") == 0 &&
-            stats_.get("ckpt.tornRefusals") == 0) {
+        const bool damaged = stats_.get("ckpt.corruptReads") > 0 ||
+                             stats_.get("ckpt.tornRefusals") > 0;
+        const bool safe_target_retained = std::any_of(
+            manager.retained().begin(), manager.retained().end(),
+            [&](const ckpt::Checkpoint &ckpt) {
+                return ckpt.establishedAt < outcome.errorTime &&
+                       (ckpt.validFor & affected) == affected;
+            });
+        if (!damaged && safe_target_retained) {
             Divergence d;
             d.kind = DivergenceKind::kEscalation;
             d.recovery = recoveriesChecked_;
             d.detail = "unrecoverable outcome without any detected "
-                       "corrupt read or torn establishment";
+                       "corrupt read or torn establishment, while a "
+                       "retained checkpoint predates the error";
             addDivergence(std::move(d));
         }
         captureValid_ = false;

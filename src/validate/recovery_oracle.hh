@@ -55,7 +55,8 @@ enum class DivergenceKind
     kFinalImage,   ///< final memory image != error-free reference
     kEscalation,   ///< escalation-ladder outcome inconsistent with the
                    ///< medium's state (DESIGN.md §16): an unrecoverable
-                   ///< verdict without a detected corrupt read, a torn
+                   ///< verdict with no detected damage while a
+                   ///< retained checkpoint predates the error, a torn
                    ///< checkpoint accepted as a target, or replica
                    ///< switches on a single-copy backend
 };

@@ -12,6 +12,7 @@
 #include "fault/storage_fault.hh"
 #include "isa/builder.hh"
 #include "sim/system.hh"
+#include "validate/recovery_oracle.hh"
 
 namespace acr::ckpt
 {
@@ -247,6 +248,53 @@ TEST(Manager, RecoverToMostRecentWhenSafe)
     auto outcome = rig.manager.recover(0, error_time, error_time + 5);
     EXPECT_EQ(outcome.targetIndex, 2u);
     EXPECT_EQ(rig.system.memory().image(), image2);
+}
+
+TEST(Manager, ErrorOlderThanEveryRetainedCheckpointIsUnrecoverable)
+{
+    // A latent compute error that outlives the two-checkpoint retention
+    // window leaves no safe target (Fig. 2: both retained checkpoints
+    // postdate the error). With no storage damage at all, the manager
+    // must still return a structured unrecoverable verdict — never an
+    // abort — and the oracle must accept it as justified.
+    Rig rig(Coordination::kGlobal, 12);
+    validate::RecoveryOracle oracle(rig.system,
+                                    sim::MachineConfig::tableI(2),
+                                    Coordination::kGlobal, rig.stats);
+    oracle.onInitialCheckpoint(rig.manager);
+    rig.runUntilProgress(300);
+    Cycle error_time = rig.system.maxCycle();
+    for (int i = 0; i < 2; ++i) {
+        rig.runUntilProgress(rig.system.progress() + 200);
+        rig.manager.establish();
+        oracle.onEstablish(rig.manager, 1);
+    }
+    rig.runUntilProgress(rig.system.progress() + 100);
+    ASSERT_FALSE(rig.system.allHalted());
+    ASSERT_EQ(rig.manager.retained().front().index, 1u);
+
+    oracle.beforeRecovery(rig.manager);
+    auto outcome =
+        rig.manager.recover(0, error_time, rig.system.maxCycle());
+    oracle.afterRecovery(rig.manager, outcome);
+    EXPECT_TRUE(outcome.unrecoverable);
+    EXPECT_NE(outcome.failureDetail.find("no safe checkpoint"),
+              std::string::npos)
+        << outcome.failureDetail;
+    EXPECT_EQ(outcome.errorTime, error_time);
+    EXPECT_DOUBLE_EQ(rig.stats.get("rec.unrecoverable"), 1.0);
+    EXPECT_DOUBLE_EQ(rig.stats.get("ckpt.corruptReads"), 0.0);
+    EXPECT_TRUE(oracle.divergences().empty()) << oracle.report();
+
+    // The same verdict declared early — for an error that postdates
+    // the newest retained checkpoint, so a safe target exists — has
+    // no justification and must be a divergence.
+    ckpt::RecoveryOutcome premature = outcome;
+    premature.errorTime = rig.system.maxCycle();
+    oracle.afterRecovery(rig.manager, premature);
+    ASSERT_EQ(oracle.divergences().size(), 1u);
+    EXPECT_EQ(oracle.divergences()[0].kind,
+              validate::DivergenceKind::kEscalation);
 }
 
 TEST(Manager, WasteAndRollbackStatsAccumulate)

@@ -9,8 +9,8 @@
 #
 # Repro format: `flags=<torture args>` and `expect=<verdict>` lines,
 # where verdict is clean (exit 0), quarantine (exit 3), divergence
-# (exit 4), or unrecoverable (exit 5, storage faults defeated every
-# escalation rung) per src/harness/exit_code.hh; an optional
+# (exit 4), or unrecoverable (exit 5, no safe rollback target was
+# left) per src/harness/exit_code.hh; an optional
 # `stderr_match=<substring>` pins the diagnostic. The extra verdict
 # `abort` pins a run that dies on an engine assertion (oracle-off
 # configurations keep the manager's hard recomputation assert): any

@@ -110,6 +110,25 @@ TEST(EnergyModel, DramDominatesAluByOrdersOfMagnitude)
     EXPECT_LT(replay, restore);
 }
 
+TEST(EnergyModel, RecomputeBeatsRestoreUpTo89InstructionSlices)
+{
+    // Equation 4's energy crossover: replaying an L-instruction Slice
+    // (L ALU ops, two operand-buffer reads, one word write-back) vs
+    // restoring the word from the in-memory log (word read + word
+    // write). With the default costs recomputation wins up to L = 89,
+    // far above the paper's threshold of 10.
+    EnergyConfig config;
+    auto ratio = [&](double length) {
+        double recompute = length * config.aluOpPj +
+                           2 * config.operandBufferPj +
+                           8 * config.dramBytePj;
+        double restore = 2 * 8 * config.dramBytePj;
+        return recompute / restore;
+    };
+    EXPECT_LT(ratio(89), 1.0);
+    EXPECT_GT(ratio(90), 1.0);
+}
+
 TEST(EnergyModel, MissingCountersContributeZero)
 {
     StatSet stats;

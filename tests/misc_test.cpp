@@ -1,8 +1,9 @@
 /**
  * @file
  * Additional coverage: full-pipeline arithmetic corner cases, cache
- * inclusion on L2 eviction, zero-input slices, large-machine stress,
- * and secondary-tier + trace interplay with scaled problems.
+ * inclusion on L2 eviction, zero-input slices, large-machine and
+ * scaled-problem stress, and harness knob handling (NoCkpt error
+ * knobs, per-workload thresholds, strict AddrMap retention).
  */
 
 #include <gtest/gtest.h>

@@ -42,7 +42,6 @@ randomConfig(std::mt19937_64 &rng)
     config.detectionLatencyFraction = pick(101) / 100.0;
     config.placement = static_cast<PlacementPolicy>(pick(2));
     config.placementSlack = pick(101) / 100.0;
-    config.secondaryPeriod = static_cast<unsigned>(pick(5));
     config.seed = rng();
     config.verifyFinalState = pick(2) == 0;
     config.oracle = config.mode != BerMode::kNoCkpt && pick(2) == 0;
@@ -113,7 +112,6 @@ expectConfigEqual(const ExperimentConfig &a, const ExperimentConfig &b)
     EXPECT_EQ(a.detectionLatencyFraction, b.detectionLatencyFraction);
     EXPECT_EQ(a.placement, b.placement);
     EXPECT_EQ(a.placementSlack, b.placementSlack);
-    EXPECT_EQ(a.secondaryPeriod, b.secondaryPeriod);
     EXPECT_EQ(a.seed, b.seed);
     EXPECT_EQ(a.verifyFinalState, b.verifyFinalState);
     EXPECT_EQ(a.oracle, b.oracle);
@@ -177,6 +175,23 @@ TEST(WireConfig, RejectsUnknownKeyAndBadEnums)
         }();
     EXPECT_THROW(wire::decodeConfig(serde::Json::parse(bad_backend)),
                  SerdeError);
+}
+
+TEST(WireConfig, RejectsTheRemovedSecondaryPeriodKey)
+{
+    // Wire v6 configs carried the hierarchical tier's period; v7
+    // removed the tier, so a config object that still names the key
+    // is an unknown member, not a value to drop silently.
+    const std::string key = "secondaryPeriod";
+    std::string stale = wire::encodeConfig({}).dump();
+    stale.insert(stale.size() - 1, ",\"" + key + "\":0");
+    try {
+        wire::decodeConfig(serde::Json::parse(stale));
+        FAIL() << "decodeConfig accepted the removed key " << key;
+    } catch (const SerdeError &error) {
+        EXPECT_NE(std::string(error.what()).find(key), std::string::npos)
+            << error.what();
+    }
 }
 
 TEST(WireResult, RoundTripProperty)
