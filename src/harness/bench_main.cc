@@ -115,9 +115,9 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
                      "(SIGKILL a local worker) and retry a worker "
                      "wedged longer than this (0: off)");
     parser.addString("journal", "",
-                     "append each completed point to this file as "
-                     "fsync'd wire records (progress log + result "
-                     "cache)");
+                     "crash-safe progress log: a result cache scoped "
+                     "to this sweep (bench, shard, grid) that every "
+                     "completed point is appended to, fsync'd");
     parser.addFlag("resume",
                    "serve points already completed in --journal "
                    "instead of re-simulating them");
@@ -249,7 +249,10 @@ mergeShardFiles(const BenchSpec &spec,
                 const std::vector<GridPoint> &grid,
                 const std::vector<std::string> &files)
 {
-    const std::uint64_t expect_hash = wire::gridHash(grid);
+    wire::ManifestRecord want;
+    want.bench = spec.name;
+    want.gridPoints = grid.size();
+    want.gridHash = wire::gridHash(grid);
     std::vector<ExperimentResult> results(grid.size());
     std::vector<bool> filled(grid.size(), false);
     std::set<std::uint64_t> shards_seen;
@@ -279,20 +282,10 @@ mergeShardFiles(const BenchSpec &spec,
                 if (have_manifest)
                     fatal("%s: second manifest record", file.c_str());
                 have_manifest = true;
-                if (manifest.bench != spec.name)
-                    fatal("%s: records belong to bench '%s', not "
-                          "'%s'",
-                          file.c_str(), manifest.bench.c_str(),
-                          spec.name.c_str());
-                if (manifest.gridPoints != grid.size() ||
-                    manifest.gridHash != expect_hash)
-                    fatal("%s: shard was produced from a different "
-                          "grid (points %llu vs %zu; check that "
-                          "--workloads and bench flags match)",
-                          file.c_str(),
-                          static_cast<unsigned long long>(
-                              manifest.gridPoints),
-                          grid.size());
+                const std::string problem =
+                    wire::manifestMismatch(manifest, want);
+                if (!problem.empty())
+                    fatal("%s: shard %s", file.c_str(), problem.c_str());
                 if (shard_count == 0)
                     shard_count = manifest.shardCount;
                 else if (shard_count != manifest.shardCount)
@@ -474,16 +467,24 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
     const auto owned =
         ShardedSweep::shardIndices(grid.size(), shard);
 
-    Journal journal;
+    // Which slice of which grid this invocation sweeps: the journal's
+    // scope, and in shard mode the manifest line that heads stdout.
+    wire::ManifestRecord scope;
+    scope.bench = spec.name;
+    scope.shard = shard.index;
+    scope.shardCount = shard.count;
+    scope.gridPoints = grid.size();
+    scope.gridHash = wire::gridHash(grid);
+
+    ResultCache journal("journal");
     if (!options.journal.empty())
-        journal.open(options.journal, options.resume, spec.name,
-                     shard.index, shard.count, grid);
+        journal.open(options.journal, &scope, options.resume);
 
     ResultCache cache;
     if (!options.cachePath.empty())
         cache.open(options.cachePath);
 
-    // Test hook: _exit abruptly after this many journal appends —
+    // Test hook: _exit abruptly after this many journal inserts —
     // simulates a coordinator SIGKILLed mid-sweep for the --resume
     // tests. Inert unless the environment sets it.
     const char *exit_env = std::getenv("ACR_TEST_COORD_EXIT_AFTER");
@@ -499,34 +500,34 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
     controls.supervise.retries = options.retries;
     controls.supervise.pointTimeoutSec = options.pointTimeout;
 
-    // Coordinator-side serving map, by grid index: the journal's
-    // grid-keyed completions plus content-addressed cache hits. Both
-    // feed SweepControls::cache, so a served point is never dealt to
+    // Coordinator-side serving map, by grid index: each owned point
+    // is looked up by content in the journal, then in the cache. It
+    // feeds SweepControls::cache, so a served point is never dealt to
     // a worker — in-process, forked, or sharded mode alike.
     std::map<std::size_t, ExperimentResult> served;
-    if (journal.isOpen()) {
-        served = journal.entries();
-        std::size_t hits = 0;
-        for (const auto index : owned)
-            hits += journal.entries().count(index);
-        std::cerr << "[sweep] journal: served " << hits << " of "
-                  << owned.size() << " owned point(s) from '"
-                  << options.journal << "'\n";
+    std::size_t journal_hits = 0;
+    for (const auto index : owned) {
+        const ExperimentResult *hit =
+            journal.isOpen() ? journal.find(grid[index]) : nullptr;
+        if (hit != nullptr)
+            ++journal_hits;
+        else if (cache.isOpen())
+            hit = cache.find(grid[index]);
+        if (hit != nullptr)
+            served.emplace(index, *hit);
     }
-    if (cache.isOpen())
-        for (const auto index : owned)
-            if (!served.count(index))
-                if (const auto *hit = cache.find(grid[index]))
-                    served.emplace(index, *hit);
+    if (journal.isOpen())
+        std::cerr << "[sweep] journal: served " << journal_hits
+                  << " of " << owned.size() << " owned point(s) from '"
+                  << options.journal << "'\n";
     if (journal.isOpen() || cache.isOpen()) {
         controls.cache = &served;
         controls.completed = [&journal, &cache, &grid, exit_after](
                                  std::size_t index,
                                  const ExperimentResult &result) {
             if (journal.isOpen()) {
-                journal.record(index, result);
-                if (exit_after != 0 &&
-                    journal.appended() >= exit_after)
+                journal.insert(grid[index], result);
+                if (exit_after != 0 && journal.inserts() >= exit_after)
                     ::_exit(7);
             }
             if (cache.isOpen())
@@ -538,13 +539,7 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
         // Emit this shard's slice as wire records: a manifest line,
         // then one result (or failed) line per owned point, streamed
         // in grid order as results land.
-        wire::ManifestRecord manifest;
-        manifest.bench = spec.name;
-        manifest.shard = options.shard.index;
-        manifest.shardCount = options.shard.count;
-        manifest.gridPoints = grid.size();
-        manifest.gridHash = wire::gridHash(grid);
-        std::cout << wire::encodeManifestLine(manifest) << "\n"
+        std::cout << wire::encodeManifestLine(scope) << "\n"
                   << std::flush;
         controls.sink = [&](std::size_t index,
                             const ExperimentResult &result) {

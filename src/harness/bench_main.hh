@@ -44,11 +44,12 @@
  *   --point-timeout=S per-point wall-clock watchdog: drop + retry a
  *                     worker wedged longer than S seconds, SIGKILLing
  *                     a local one (0: off; at most 1e6)
- *   --journal=FILE    append every completed point to FILE as fsync'd
- *                     wire records (crash-safe progress log + result
- *                     cache)
+ *   --journal=FILE    crash-safe progress log: a result cache scoped
+ *                     to this sweep's bench, shard and grid, to which
+ *                     every completed point is appended fsync'd
  *   --resume          load --journal and serve already-completed
- *                     points from it instead of re-simulating
+ *                     points from it instead of re-simulating; a
+ *                     journal of another sweep exits 1, untouched
  *   --cache=FILE      content-addressed cross-bench result cache
  *                     (DESIGN.md §11; default $ACR_CACHE): identical
  *                     (workload, config, threads) points — from any

@@ -118,8 +118,9 @@ DurableLog::append(const std::string &line)
         return true;
     // ENOSPC/EIO must degrade — one warning, the file off, the sweep
     // still running — never take down a multi-hour run over its log.
-    warn("%s '%s': append failed (%s); %s", what_, path_.c_str(),
-         std::strerror(error), degradeNote_);
+    warn("%s '%s': append failed (%s); disabling the file — loaded "
+         "entries still serve, new results are not persisted",
+         what_, path_.c_str(), std::strerror(error));
     ::close(fd_);
     fd_ = -1;
     degraded_ = true;

@@ -1,8 +1,8 @@
 /**
  * @file
- * DurableLog: the append-only, fsync'd ndjson file discipline shared by
- * the sweep Journal (supervisor.hh) and the ResultCache
- * (result_cache.hh). A log is one header line plus one line per
+ * DurableLog: the append-only, fsync'd ndjson file discipline under the
+ * ResultCache (result_cache.hh), both as `--cache` and as the
+ * sweep-scoped `--journal`. A log is one header line plus one line per
  * record; every append is written whole and fsync'd before it counts.
  *
  * Loading tolerates a crash mid-append: a torn final line (no trailing
@@ -29,13 +29,8 @@ namespace acr::harness
 class DurableLog
 {
   public:
-    /** @param what the log's name in messages ("journal", "cache")
-     *  @param degradeNote what a failed append means for the user,
-     *  appended to its one-line warning */
-    DurableLog(const char *what, const char *degradeNote)
-        : what_(what), degradeNote_(degradeNote)
-    {
-    }
+    /** @param what the log's name in messages ("journal", "cache") */
+    explicit DurableLog(const char *what) : what_(what) {}
     ~DurableLog() { close(); }
 
     DurableLog(const DurableLog &) = delete;
@@ -73,7 +68,6 @@ class DurableLog
 
   private:
     const char *what_;
-    const char *degradeNote_;
     std::string path_;
     int fd_ = -1;
     bool degraded_ = false;

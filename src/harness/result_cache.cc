@@ -11,13 +11,65 @@ namespace
 {
 
 std::string
-headerLine()
+headerLine(const wire::ManifestRecord *scope)
 {
     serde::Json json = serde::Json::object();
     json.set("type", "acr-cache")
         .set("cachev", ResultCache::kCacheVersion)
         .set("wirev", wire::kVersion);
+    if (scope != nullptr)
+        json.set("scope",
+                 serde::Json::parse(wire::encodeManifestLine(*scope)));
     return json.dump();
+}
+
+/**
+ * Why @p line is not a header whose entries this build may serve under
+ * @p scope (null: unscoped, which accepts any scope); empty when it is.
+ */
+std::string
+headerMismatch(const std::string &line, const wire::ManifestRecord *scope)
+{
+    try {
+        serde::Json json = serde::Json::parse(line);
+        serde::ObjectReader reader(json, "cache header");
+        const std::string type = reader.requireString("type");
+        if (type == "manifest")
+            return "starts with a manifest record (a journal from "
+                   "before scoped headers)";
+        const std::uint64_t cachev = reader.requireUint("cachev");
+        const std::uint64_t wirev = reader.requireUint("wirev");
+        const serde::Json *found = reader.optional("scope");
+        reader.finish();
+        if (type != "acr-cache" || cachev != ResultCache::kCacheVersion)
+            return "unrecognized header";
+        if (wirev != wire::kVersion)
+            return csprintf("entries use wire v%llu but this build "
+                            "speaks v%llu",
+                            static_cast<unsigned long long>(wirev),
+                            static_cast<unsigned long long>(
+                                wire::kVersion));
+        if (scope == nullptr)
+            return "";
+        if (found == nullptr)
+            return "is an unscoped cache, not a sweep journal";
+        const wire::Record record = wire::decodeLine(found->dump());
+        if (record.type != wire::Record::Type::kManifest)
+            throw serde::SerdeError("scope is not a manifest record");
+        const wire::ManifestRecord &have = record.manifest;
+        std::string problem = wire::manifestMismatch(have, *scope);
+        if (problem.empty() && (have.shard != scope->shard ||
+                                have.shardCount != scope->shardCount))
+            problem = csprintf(
+                "was written for shard %llu/%llu, not %llu/%llu",
+                static_cast<unsigned long long>(have.shard),
+                static_cast<unsigned long long>(have.shardCount),
+                static_cast<unsigned long long>(scope->shard),
+                static_cast<unsigned long long>(scope->shardCount));
+        return problem;
+    } catch (const serde::SerdeError &error) {
+        return csprintf("unreadable header (%s)", error.what());
+    }
 }
 
 std::string
@@ -40,48 +92,31 @@ ResultCache::~ResultCache()
 }
 
 void
-ResultCache::open(const std::string &path)
+ResultCache::open(const std::string &path,
+                  const wire::ManifestRecord *scope, bool resume)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    path_ = path;
-
     std::size_t durable_bytes = 0;
-    const std::vector<std::string> lines = log_.load(path, durable_bytes);
+    std::vector<std::string> lines;
+    if (resume)
+        lines = log_.load(path, durable_bytes);
 
-    // Validate the header. Anything unrecognized — garbage, a future
-    // cache schema, records encoded under a different wire version —
-    // makes the whole file cold: every lookup misses, the sweep
-    // recomputes, and the file is re-headed for this build.
-    bool cold = lines.empty();
-    if (!cold) {
-        try {
-            serde::Json json = serde::Json::parse(lines.front());
-            serde::ObjectReader reader(json, "cache header");
-            const std::string type = reader.requireString("type");
-            const std::uint64_t cachev = reader.requireUint("cachev");
-            const std::uint64_t wirev = reader.requireUint("wirev");
-            reader.finish();
-            if (type != "acr-cache" || cachev != kCacheVersion) {
-                warn("cache '%s': unrecognized header; starting cold",
-                     path.c_str());
-                cold = true;
-            } else if (wirev != wire::kVersion) {
-                warn("cache '%s': entries use wire v%llu but this "
-                     "build speaks v%llu; starting cold",
-                     path.c_str(),
-                     static_cast<unsigned long long>(wirev),
-                     static_cast<unsigned long long>(wire::kVersion));
-                cold = true;
-            }
-        } catch (const serde::SerdeError &error) {
-            warn("cache '%s': unreadable header (%s); starting cold",
-                 path.c_str(), error.what());
-            cold = true;
-        }
+    // A header this build cannot serve from makes a cache cold: every
+    // lookup misses, the sweep recomputes, and the file is re-headed.
+    // A journal being resumed is the user's record of one sweep, so
+    // it is refused, never overwritten.
+    const std::string problem =
+        lines.empty() ? "" : headerMismatch(lines.front(), scope);
+    if (!problem.empty()) {
+        if (scope != nullptr)
+            fatal("%s '%s': %s; rerun without --resume to start it "
+                  "over",
+                  what_, path.c_str(), problem.c_str());
+        warn("%s '%s': %s; starting cold", what_, path.c_str(),
+             problem.c_str());
     }
-
-    if (cold) {
-        log_.create(path, headerLine());
+    if (lines.empty() || !problem.empty()) {
+        log_.create(path, headerLine(scope));
         return;
     }
 
@@ -105,7 +140,7 @@ ResultCache::open(const std::string &path)
             entries_[wire::encodePoint(point).dump()] =
                 std::move(result);
         } catch (const serde::SerdeError &error) {
-            warn("cache '%s': skipping unreadable entry %zu: %s",
+            warn("%s '%s': skipping unreadable entry %zu: %s", what_,
                  path.c_str(), i, error.what());
         }
     }
@@ -143,8 +178,8 @@ void
 ResultCache::insert(const GridPoint &point,
                     const ExperimentResult &result)
 {
-    // Quarantined points are not cached: retrying on the next run is
-    // the natural resume semantic, matching the journal.
+    // Quarantined points are not stored: retrying on the next run is
+    // the natural resume semantic.
     if (result.failed || point.config.trace != nullptr)
         return;
     std::lock_guard<std::mutex> lock(mutex_);

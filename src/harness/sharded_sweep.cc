@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -96,17 +95,6 @@ struct WorkerHooks
             ::_exit(43);
     }
 };
-
-/** The served result for @p grid_index, or null to simulate it. */
-const ExperimentResult *
-cachedResult(const ShardedSweep::SweepControls &controls,
-             std::size_t grid_index)
-{
-    if (controls.cache == nullptr)
-        return nullptr;
-    const auto hit = controls.cache->find(grid_index);
-    return hit == controls.cache->end() ? nullptr : &hit->second;
-}
 
 /** How one coordinator connection ended. */
 enum class ChannelEnd
@@ -224,13 +212,19 @@ serveChannel(RunnerPool &pool, net::FrameChannel &channel,
     return ChannelEnd::kLost;
 }
 
-/** Ascending-order result merger: slots fill in any order, the sink
- *  fires strictly in order as the completed prefix grows. */
+/**
+ * The one ordered delivery of both executors: slots fill in any order,
+ * from any thread, and each deliver() fires the sink — under the lock,
+ * so sink calls never overlap — for every slot of the grown ready
+ * prefix, strictly in ascending order.
+ */
 class OrderedMerger
 {
   public:
-    explicit OrderedMerger(std::size_t size)
-        : results_(size), done_(size, false)
+    OrderedMerger(const std::vector<std::size_t> &grid_indices,
+                  const ShardedSweep::OrderedSink &sink)
+        : indices_(grid_indices), sink_(sink),
+          results_(grid_indices.size()), done_(grid_indices.size(), false)
     {
     }
 
@@ -241,29 +235,51 @@ class OrderedMerger
         ACR_ASSERT(!done_[slot], "slot %zu delivered twice", slot);
         results_[slot] = std::move(result);
         done_[slot] = true;
-        ready_.notify_all();
+        for (; next_ < results_.size() && done_[next_]; ++next_)
+            if (sink_)
+                sink_(indices_[next_], results_[next_]);
     }
 
-    /** Wait for every slot, draining the sink in ascending order. */
+    /** Every slot's result, once all have been delivered. */
     std::vector<ExperimentResult>
-    collect(const std::vector<std::size_t> &grid_indices,
-            const ShardedSweep::OrderedSink &sink)
+    take()
     {
-        std::unique_lock<std::mutex> lock(mutex_);
-        for (std::size_t slot = 0; slot < results_.size(); ++slot) {
-            ready_.wait(lock, [&] { return done_[slot]; });
-            if (sink)
-                sink(grid_indices[slot], results_[slot]);
-        }
+        std::lock_guard<std::mutex> lock(mutex_);
+        ACR_ASSERT(next_ == results_.size(),
+                   "sweep finished with %zu of %zu slots", next_,
+                   results_.size());
         return std::move(results_);
     }
 
   private:
     std::mutex mutex_;
-    std::condition_variable ready_;
+    const std::vector<std::size_t> &indices_;
+    const ShardedSweep::OrderedSink &sink_;
     std::vector<ExperimentResult> results_;
     std::vector<bool> done_;
+    std::size_t next_ = 0;
 };
+
+/** Deliver every owned point controls.cache already holds (journal and
+ *  result-cache hits); return the slots left to simulate. */
+std::vector<std::size_t>
+serveCompleted(const ShardedSweep::SweepControls &controls,
+               const std::vector<std::size_t> &grid_indices,
+               OrderedMerger &merger)
+{
+    std::vector<std::size_t> pending;
+    for (std::size_t slot = 0; slot < grid_indices.size(); ++slot) {
+        if (controls.cache != nullptr) {
+            const auto hit = controls.cache->find(grid_indices[slot]);
+            if (hit != controls.cache->end()) {
+                merger.deliver(slot, hit->second);
+                continue;
+            }
+        }
+        pending.push_back(slot);
+    }
+    return pending;
+}
 
 } // namespace
 
@@ -356,71 +372,34 @@ ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
     const auto wall_start = std::chrono::steady_clock::now();
     std::vector<double> point_millis(indices.size(), 0.0);
 
-    double journal_hits = 0.0;
-
-    std::vector<ExperimentResult> results;
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, indices.empty() ? 1
-                                                     : indices.size()));
-    if (workers <= 1) {
-        results.resize(indices.size());
-        for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-            const std::size_t grid_index = indices[slot];
-            if (const auto *hit = cachedResult(controls, grid_index)) {
-                results[slot] = *hit;
-                ++journal_hits;
-            } else {
-                const GridPoint &point = points[grid_index];
-                const auto point_start =
-                    std::chrono::steady_clock::now();
-                results[slot] = pool_.at(point.threads)
-                                    .run(point.workload, point.config);
-                point_millis[slot] = millisSince(point_start);
-                if (controls.completed)
-                    controls.completed(grid_index, results[slot]);
-            }
-            if (controls.sink)
-                controls.sink(grid_index, results[slot]);
+    OrderedMerger merger(indices, controls.sink);
+    const auto pending = serveCompleted(controls, indices, merger);
+    std::atomic<std::size_t> next{0};
+    auto worker = [&] {
+        while (true) {
+            const std::size_t i = next.fetch_add(1);
+            if (i >= pending.size())
+                return;
+            const std::size_t slot = pending[i];
+            const GridPoint &point = points[indices[slot]];
+            const auto point_start = std::chrono::steady_clock::now();
+            auto result =
+                pool_.at(point.threads).run(point.workload, point.config);
+            point_millis[slot] = millisSince(point_start);
+            if (controls.completed)
+                controls.completed(indices[slot], result);
+            merger.deliver(slot, std::move(result));
         }
-    } else {
-        OrderedMerger merger(indices.size());
-        // Serve journal hits up front; the worker threads skip those
-        // slots (from_cache is read-only once they start).
-        std::vector<bool> from_cache(indices.size(), false);
-        for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-            if (const auto *hit = cachedResult(controls, indices[slot])) {
-                from_cache[slot] = true;
-                ++journal_hits;
-                merger.deliver(slot, *hit);
-            }
-        }
-        std::atomic<std::size_t> next{0};
-        auto worker = [&] {
-            while (true) {
-                const std::size_t slot = next.fetch_add(1);
-                if (slot >= indices.size())
-                    return;
-                if (from_cache[slot])
-                    continue;
-                const GridPoint &point = points[indices[slot]];
-                const auto point_start =
-                    std::chrono::steady_clock::now();
-                auto result = pool_.at(point.threads)
-                                  .run(point.workload, point.config);
-                point_millis[slot] = millisSince(point_start);
-                if (controls.completed)
-                    controls.completed(indices[slot], result);
-                merger.deliver(slot, std::move(result));
-            }
-        };
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w)
-            threads.emplace_back(worker);
-        results = merger.collect(indices, controls.sink);
-        for (auto &thread : threads)
-            thread.join();
-    }
+    };
+    // A fully served grid starts no threads; --jobs=1 runs on one.
+    std::vector<std::thread> threads;
+    const std::size_t workers =
+        std::min<std::size_t>(jobs_, pending.size());
+    for (std::size_t w = 0; w < workers; ++w)
+        threads.emplace_back(worker);
+    for (auto &thread : threads)
+        thread.join();
+    auto results = merger.take();
 
     hostStats_.clear();
     hostStats_.set("sweep.jobs", static_cast<double>(jobs_));
@@ -434,8 +413,6 @@ ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
         work += point_millis[slot];
     }
     hostStats_.set("sweep.workMillis", work);
-    if (controls.cache != nullptr)
-        hostStats_.set("sweep.journalHits", journal_hits);
     return results;
 }
 
@@ -454,34 +431,14 @@ ShardedSweep::runDistributed(const std::vector<GridPoint> &points,
     const auto indices = shardIndices(points.size(), shard);
     const auto wall_start = std::chrono::steady_clock::now();
 
-    // The supervisor delivers in completion order; the ordered sink
-    // fires here as the completed prefix grows, so rendered output
-    // stays byte-identical to a --jobs=1 run regardless of crashes,
-    // retries, or journal hits.
-    std::vector<ExperimentResult> results(indices.size());
-    std::vector<bool> done(indices.size(), false);
-    std::size_t next_emit = 0;
-    auto flushReady = [&] {
-        while (next_emit < indices.size() && done[next_emit]) {
-            if (controls.sink)
-                controls.sink(indices[next_emit], results[next_emit]);
-            ++next_emit;
-        }
-    };
-
-    double journal_hits = 0.0;
+    // The supervisor delivers in completion order; the merger fires
+    // the ordered sink as the completed prefix grows, so rendered
+    // output stays byte-identical to a --jobs=1 run regardless of
+    // crashes, retries, or journal hits.
+    OrderedMerger merger(indices, controls.sink);
     std::vector<Supervisor::Task> tasks;
-    for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-        const std::size_t grid_index = indices[slot];
-        if (const auto *hit = cachedResult(controls, grid_index)) {
-            results[slot] = *hit;
-            done[slot] = true;
-            ++journal_hits;
-        } else {
-            tasks.push_back({slot, grid_index, &points[grid_index]});
-        }
-    }
-    flushReady();
+    for (const std::size_t slot : serveCompleted(controls, indices, merger))
+        tasks.push_back({slot, indices[slot], &points[indices[slot]]});
 
     const bool local = !workerCmd.empty();
     StatSet supervision;
@@ -496,15 +453,11 @@ ShardedSweep::runDistributed(const std::vector<GridPoint> &points,
             [&](const Supervisor::Task &task, ExperimentResult result) {
                 if (controls.completed)
                     controls.completed(task.gridIndex, result);
-                results[task.slot] = std::move(result);
-                done[task.slot] = true;
-                flushReady();
+                merger.deliver(task.slot, std::move(result));
             },
             supervision);
     }
-    ACR_ASSERT(next_emit == indices.size(),
-               "supervised sweep finished with %zu of %zu slots",
-               next_emit, indices.size());
+    auto results = merger.take();
 
     hostStats_.clear();
     // reportTiming() tells the modes apart by these keys, so set them
@@ -520,8 +473,6 @@ ShardedSweep::runDistributed(const std::vector<GridPoint> &points,
     }
     hostStats_.set("sweep.points", static_cast<double>(indices.size()));
     hostStats_.set("sweep.wallMillis", millisSince(wall_start));
-    if (controls.cache != nullptr)
-        hostStats_.set("sweep.journalHits", journal_hits);
     hostStats_.merge(supervision);
     return results;
 }

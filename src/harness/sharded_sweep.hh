@@ -82,7 +82,9 @@ class ShardedSweep
     /**
      * Ordered streaming sink: invoked with (grid index, result) in
      * strictly ascending grid-index order, each as soon as every
-     * earlier owned point has completed — no end-of-run barrier.
+     * earlier owned point has completed — no end-of-run barrier. It
+     * runs on whichever thread completed the prefix, one call at a
+     * time.
      */
     using OrderedSink =
         std::function<void(std::size_t, const ExperimentResult &)>;
@@ -90,9 +92,9 @@ class ShardedSweep
     /**
      * Completion-order sink: fires once per point *as it finishes*
      * (no ordering guarantee), before the ordered sink sees it — the
-     * journal's append hook. In-process multi-job sweeps invoke it
+     * journal's and cache's insert hook. In-process sweeps invoke it
      * from worker threads; callers must make it thread-safe
-     * (Journal::record is).
+     * (ResultCache::insert is).
      */
     using CompletionSink =
         std::function<void(std::size_t, const ExperimentResult &)>;
@@ -107,12 +109,12 @@ class ShardedSweep
         /** Ascending-grid-index streaming sink (may be empty). */
         OrderedSink sink;
 
-        /** Completion-order journal hook (may be empty). */
+        /** Completion-order insert hook (may be empty). */
         CompletionSink completed;
 
         /**
-         * Already-completed results by grid index (a loaded
-         * Journal's entries()); owned points found here are served
+         * Already-completed results by grid index (journal and
+         * result-cache hits); owned points found here are served
          * without re-simulation and never reach `completed`. Not
          * owned; may be null.
          */
@@ -143,8 +145,9 @@ class ShardedSweep
     static Shard parseShard(const std::string &spec);
 
     /**
-     * Execute this shard's slice of @p points on the in-process thread
-     * pool. Returns the owned results in ascending grid-index order
+     * Execute this shard's slice of @p points on min(jobs, unserved
+     * points) in-process threads — none when every owned point is
+     * served. Returns the owned results in ascending grid-index order
      * (all of them when shard is the default whole-grid 0/1). Points
      * must be independent: a non-null config.trace sink must not be
      * shared between points (trace sinks are not synchronized).
@@ -153,9 +156,9 @@ class ShardedSweep
     run(const std::vector<GridPoint> &points, Shard shard = {},
         const OrderedSink &sink = {});
 
-    /** As above, with the full fault-tolerance controls (journal
-     *  cache + completion hook; supervision options are unused on the
-     *  in-process path, which cannot crash partially). */
+    /** As above, with the full fault-tolerance controls (served
+     *  results + completion hook; supervision options are unused on
+     *  the in-process path, which cannot crash partially). */
     std::vector<ExperimentResult>
     run(const std::vector<GridPoint> &points, Shard shard,
         const SweepControls &controls);
@@ -234,8 +237,7 @@ class ShardedSweep
     /** Host-side timing of the most recent run()/runDistributed():
      *  sweep.jobs or sweep.forkedWorkers, sweep.points,
      *  sweep.wallMillis, and for in-process runs sweep.workMillis
-     *  plus sweep.point.<index>.millis. With a journal cache,
-     *  sweep.journalHits; supervised runs add the Supervisor counters
+     *  plus sweep.point.<index>.millis. Supervised runs add the Supervisor counters
      *  (sweep.retries, sweep.workerCrashes, sweep.watchdogKills,
      *  sweep.quarantined, and sweep.respawns for a local fleet or
      *  sweep.netJoins and sweep.netLeaves for a remote one). */

@@ -590,139 +590,4 @@ Supervisor::run(const std::vector<Task> &tasks,
     }
 }
 
-// --- Journal ---
-
-Journal::~Journal()
-{
-    close();
-}
-
-void
-Journal::open(const std::string &path, bool resume,
-              const std::string &bench, std::uint64_t shard_index,
-              std::uint64_t shard_count,
-              const std::vector<GridPoint> &grid)
-{
-    const std::uint64_t expect_hash = wire::gridHash(grid);
-
-    std::size_t durable_bytes = 0;
-    std::vector<std::string> lines;
-    if (resume)
-        lines = log_.load(path, durable_bytes);
-
-    if (!lines.empty()) {
-        // Validate the header against the grid this invocation is
-        // about to sweep.
-        wire::Record header;
-        try {
-            header = wire::decodeLine(lines.front());
-        } catch (const serde::SerdeError &error) {
-            fatal("journal '%s': bad header: %s", path.c_str(),
-                  error.what());
-        }
-        if (header.type != wire::Record::Type::kManifest)
-            fatal("journal '%s' does not start with a manifest record",
-                  path.c_str());
-        const auto &manifest = header.manifest;
-        if (manifest.bench != bench)
-            fatal("journal '%s' belongs to bench '%s', not '%s'",
-                  path.c_str(), manifest.bench.c_str(),
-                  bench.c_str());
-        if (manifest.shard != shard_index ||
-            manifest.shardCount != shard_count)
-            fatal("journal '%s' was written for shard %llu/%llu, not "
-                  "%llu/%llu",
-                  path.c_str(),
-                  static_cast<unsigned long long>(manifest.shard),
-                  static_cast<unsigned long long>(
-                      manifest.shardCount),
-                  static_cast<unsigned long long>(shard_index),
-                  static_cast<unsigned long long>(shard_count));
-        if (manifest.gridPoints != grid.size() ||
-            manifest.gridHash != expect_hash)
-            fatal("journal '%s' was produced from a different grid "
-                  "(points %llu vs %zu; check --workloads and bench "
-                  "flags)",
-                  path.c_str(),
-                  static_cast<unsigned long long>(
-                      manifest.gridPoints),
-                  grid.size());
-
-        for (std::size_t i = 1; i < lines.size(); ++i) {
-            wire::Record record;
-            try {
-                record = wire::decodeLine(lines[i]);
-            } catch (const serde::SerdeError &error) {
-                if (i + 1 == lines.size()) {
-                    // fsync-per-line makes this nearly impossible,
-                    // but a torn-but-newline-terminated final record
-                    // is still recoverable: drop it.
-                    warn("journal '%s': dropping unreadable final "
-                         "record: %s",
-                         path.c_str(), error.what());
-                    durable_bytes -= lines[i].size() + 1;
-                    break;
-                }
-                fatal("journal '%s' record %zu is corrupt: %s",
-                      path.c_str(), i + 1, error.what());
-            }
-            if (record.type == wire::Record::Type::kResult) {
-                if (record.result.index >= grid.size())
-                    fatal("journal '%s': result index %llu out of "
-                          "range",
-                          path.c_str(),
-                          static_cast<unsigned long long>(
-                              record.result.index));
-                entries_[record.result.index] =
-                    std::move(record.result.result);
-            } else if (record.type == wire::Record::Type::kFailed) {
-                // Quarantined points are not served from the journal:
-                // a resume is the natural moment to retry them.
-            } else {
-                fatal("journal '%s' record %zu has unexpected type",
-                      path.c_str(), i + 1);
-            }
-        }
-        log_.reopen(path, durable_bytes);
-        return;
-    }
-
-    // Fresh journal (no --resume, missing file, or nothing durable in
-    // it): truncate and write the identifying header.
-    wire::ManifestRecord manifest;
-    manifest.bench = bench;
-    manifest.shard = shard_index;
-    manifest.shardCount = shard_count;
-    manifest.gridPoints = grid.size();
-    manifest.gridHash = expect_hash;
-    log_.create(path, wire::encodeManifestLine(manifest));
-}
-
-void
-Journal::failNextWriteForTest()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    log_.failNextWriteForTest();
-}
-
-void
-Journal::record(std::size_t gridIndex, const ExperimentResult &result)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ACR_ASSERT(isOpen(), "journal not open");
-    // A degraded journal appends nothing: the sweep outlives it.
-    if (log_.append(result.failed
-                        ? wire::encodeFailedLine({gridIndex,
-                                                  result.attempts,
-                                                  result.failReason})
-                        : wire::encodeResultLine({gridIndex, result})))
-        ++appended_;
-}
-
-void
-Journal::close()
-{
-    log_.close();
-}
-
 } // namespace acr::harness

@@ -2,7 +2,7 @@
  * @file
  * Fault-tolerant execution layer under harness::ShardedSweep — the
  * paper's checkpoint/recovery discipline applied to the harness's own
- * long-running sweeps (DESIGN.md §10). Two pieces:
+ * long-running sweeps (DESIGN.md §10).
  *
  * `Supervisor` deals points one at a time to a fleet of framed-channel
  * members (harness/net.hh) from a single-threaded poll() loop. The
@@ -15,13 +15,9 @@
  * `ExperimentResult::quarantined` placeholder (a `failed` wire record
  * downstream) so the sweep completes around it instead of aborting.
  *
- * `Journal` is the crash-safe completion log behind `--journal` /
- * `--resume`: each completed point is appended as one fsync'd
- * canonical ndjson record, and a reload validates the header against
- * the current grid (bench, shard, gridHash), tolerates a torn final
- * line (dropped), and serves already-completed points without
- * re-simulating them — which doubles as a result cache across repeated
- * bench invocations.
+ * The crash-safe completion log behind `--journal` / `--resume` is a
+ * sweep-scoped ResultCache (result_cache.hh), fed by the same
+ * completion hook as `--cache`.
  *
  * Determinism contract: a result is byte-identical whether it came
  * from a first-try worker, a retried worker, or the journal; only
@@ -33,13 +29,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/stats.hh"
-#include "harness/durable_log.hh"
 #include "harness/net.hh"
 #include "harness/wire.hh"
 
@@ -148,77 +141,6 @@ class Supervisor
   private:
     std::vector<std::string> workerCmd_;
     Options options_;
-};
-
-/**
- * Crash-safe sweep completion log: a manifest header identifying the
- * grid, then one fsync'd `result`/`failed` ndjson record per completed
- * point, appended in completion order.
- */
-class Journal
-{
-  public:
-    Journal() = default;
-    ~Journal();
-
-    Journal(const Journal &) = delete;
-    Journal &operator=(const Journal &) = delete;
-
-    /**
-     * Open @p path for the sweep @p bench is about to run over
-     * @p grid (shard @p shard of it). With @p resume, an existing
-     * journal is validated — bench name, shard, grid size, and
-     * gridHash must match, else fatal() — and its completed results
-     * load into entries(); a torn final line (no trailing newline or
-     * unparseable tail) is dropped, and `failed` records are skipped
-     * so quarantined points rerun. Without @p resume, or when the
-     * file is missing/empty, the journal starts fresh with a new
-     * header. fatal()s on I/O errors or a corrupt (non-tail) record.
-     */
-    void open(const std::string &path, bool resume,
-              const std::string &bench, std::uint64_t shard_index,
-              std::uint64_t shard_count,
-              const std::vector<GridPoint> &grid);
-
-    /** Completed points loaded from the journal, by grid index. */
-    const std::map<std::size_t, ExperimentResult> &entries() const
-    {
-        return entries_;
-    }
-
-    /** True after open() — including after a write-failure degrade
-     *  (loaded entries are still served; only appends stopped). */
-    bool isOpen() const { return log_.isOpen(); }
-
-    /** The backing file was disabled by a failed append/fsync. */
-    bool degraded() const { return log_.degraded(); }
-
-    /** Test hook: make the next append fail as if the disk were full
-     *  (exercises the ENOSPC degrade path without a full disk). */
-    void failNextWriteForTest();
-
-    /**
-     * Append one completed point (fsync'd before returning), as a
-     * `result` record — or a `failed` record when
-     * @p result.failed. Thread-safe: in-process sweeps append from
-     * worker threads. A failed append (ENOSPC, EIO) disables the
-     * journal with a one-line warning instead of killing the sweep:
-     * the run completes, it just cannot be resumed past this point.
-     */
-    void record(std::size_t gridIndex, const ExperimentResult &result);
-
-    /** Records appended by this process (excludes loaded entries). */
-    std::uint64_t appended() const { return appended_; }
-
-    void close();
-
-  private:
-    std::mutex mutex_;
-    DurableLog log_{"journal", "journaling disabled — the sweep "
-                               "continues but cannot resume past this "
-                               "point"};
-    std::uint64_t appended_ = 0;
-    std::map<std::size_t, ExperimentResult> entries_;
 };
 
 } // namespace acr::harness

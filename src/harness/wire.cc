@@ -419,6 +419,22 @@ decodeLine(const std::string &line)
     return record;
 }
 
+std::string
+manifestMismatch(const ManifestRecord &found, const ManifestRecord &want)
+{
+    if (found.bench != want.bench)
+        return csprintf("belongs to bench '%s', not '%s'",
+                        found.bench.c_str(), want.bench.c_str());
+    if (found.gridPoints != want.gridPoints ||
+        found.gridHash != want.gridHash)
+        return csprintf("was produced from a different grid (points "
+                        "%llu vs %llu; check that --workloads and bench "
+                        "flags match)",
+                        static_cast<unsigned long long>(found.gridPoints),
+                        static_cast<unsigned long long>(want.gridPoints));
+    return "";
+}
+
 std::uint64_t
 gridHash(const std::vector<GridPoint> &points)
 {

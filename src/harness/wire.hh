@@ -123,6 +123,15 @@ struct ManifestRecord
 };
 
 /**
+ * Why @p found does not describe @p want's bench and grid (point count
+ * and gridHash), phrased to follow a file name ("belongs to bench
+ * ..."); empty when both match. Shard fields are the caller's to
+ * compare: a merge and a journal hold them to different rules.
+ */
+std::string manifestMismatch(const ManifestRecord &found,
+                             const ManifestRecord &want);
+
+/**
  * The distributed sweep's handshake (DESIGN.md §15): the first record
  * either end of a TCP connection sends, carrying everything both
  * sides must agree on before any point is dealt — the bench name, the

@@ -7,6 +7,11 @@
 # (silently fixed or masked) or a clean repro that starts diverging —
 # fails here with the exact command line to rerun by hand.
 #
+# Exit 5 outranks exit 4 (src/harness/exit_code.hh), so an exit code
+# alone can hide oracle divergences behind another verdict: every entry
+# that does not expect `divergence` (or `abort`) also fails when
+# torture reports `[torture] N divergence(s)` with N > 0 on stderr.
+#
 # Repro format: `flags=<torture args>` and `expect=<verdict>` lines,
 # where verdict is clean (exit 0), quarantine (exit 3), divergence
 # (exit 4), or unrecoverable (exit 5, no safe rollback target was
@@ -103,6 +108,20 @@ foreach(repro IN LISTS repros)
                 "${expect_exit}), got exit ${status} — the engine no "
                 "longer reproduces this corpus entry. Rerun by hand:\n"
                 "  torture ${flags}\n${stderr}")
+    endif()
+    if(NOT expect STREQUAL "divergence" AND NOT expect STREQUAL "abort")
+        file(READ "${OUT}/${name}.stderr" stderr)
+        string(REGEX MATCH "\\[torture\\] [0-9]+ divergence\\(s\\)"
+               reported "${stderr}")
+        if(reported MATCHES "([0-9]+) divergence")
+            if(CMAKE_MATCH_1 GREATER 0)
+                message(FATAL_ERROR
+                        "${name}: verdict '${expect}' matched but "
+                        "torture reported '${reported}' — a divergence "
+                        "is hiding behind the exit code. Rerun by "
+                        "hand:\n  torture ${flags}\n${stderr}")
+            endif()
+        endif()
     endif()
     if(NOT stderr_match STREQUAL "")
         file(READ "${OUT}/${name}.stderr" stderr)

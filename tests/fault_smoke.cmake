@@ -176,7 +176,7 @@ expect_match("${OUT}/fmerged.txt" "FAILED"
 expect_match("${OUT}/fmerged.err" "quarantin"
              "merged quarantine report")
 
-# --- In-process journal writes (threaded Journal::record path) ---
+# --- In-process journal writes (threaded journal insert path) ---
 run_case("${OUT}/inproc.txt" "${OUT}/inproc.err" 0 ""
          --jobs=2 "--journal=${OUT}/inproc.journal")
 run_case("${OUT}/inproc_resumed.txt" "${OUT}/inproc_resumed.err" 0 ""

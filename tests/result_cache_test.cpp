@@ -5,9 +5,13 @@
  * byte-exactly, quarantined results are never cached, and every
  * corruption mode — torn tail, flipped byte, stale cache or wire
  * version, garbage header — degrades to a miss (recompute), never a
- * crash. The end-to-end warm-replay and cross-bench determinism
- * contract is exercised against real bench binaries by
- * tests/cache_smoke.cmake.
+ * crash. The JournalTest cases drive the sweep-scoped open behind
+ * `--journal` (DESIGN.md §10.3): fresh/resume round trips, torn-tail
+ * tolerance, failed-point rerun semantics, and the refusal — exit 1,
+ * file untouched — of a journal from another sweep or an older build.
+ * The end-to-end warm-replay and cross-bench determinism contract is
+ * exercised against real bench binaries by tests/cache_smoke.cmake,
+ * the journaled crash/resume contract by tests/fault_smoke.cmake.
  */
 
 #include <gtest/gtest.h>
@@ -80,6 +84,20 @@ writeFile(const std::string &path, const std::string &content)
 {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << content;
+}
+
+/** The scope of shard @p shard of @p shards of @p grid, bench @p bench. */
+wire::ManifestRecord
+scopeOf(const std::string &bench, std::uint64_t shard,
+        std::uint64_t shards, const std::vector<GridPoint> &grid)
+{
+    wire::ManifestRecord scope;
+    scope.bench = bench;
+    scope.shard = shard;
+    scope.shardCount = shards;
+    scope.gridPoints = grid.size();
+    scope.gridHash = wire::gridHash(grid);
+    return scope;
 }
 
 TEST(PointHash, ContentAddressedAndSensitiveToEveryAxis)
@@ -358,6 +376,257 @@ TEST(ResultCacheTest, GarbageHeaderStartsCold)
     EXPECT_EQ(cache.size(), 0u);
     cache.insert(grid[0], fakeResult(100));
     EXPECT_EQ(cache.inserts(), 1u);
+    std::remove(path.c_str());
+}
+
+TEST(JournalTest, FreshThenResumeServesRecordedResults)
+{
+    const auto grid = tinyGrid();
+    const auto path = cachePath("journal_fresh");
+    const auto scope = scopeOf("bench", 0, 1, grid);
+
+    {
+        ResultCache journal("journal");
+        journal.open(path, &scope, false);
+        ASSERT_TRUE(journal.isOpen());
+        EXPECT_EQ(journal.size(), 0u);
+        journal.insert(grid[0], fakeResult(100));
+        journal.insert(grid[2], fakeResult(300));
+        EXPECT_EQ(journal.inserts(), 2u);
+    }
+
+    ResultCache reloaded("journal");
+    reloaded.open(path, &scope, true);
+    ASSERT_EQ(reloaded.size(), 2u);
+    ASSERT_NE(reloaded.find(grid[0]), nullptr);
+    ASSERT_NE(reloaded.find(grid[2]), nullptr);
+    EXPECT_EQ(dump(*reloaded.find(grid[0])), dump(fakeResult(100)));
+    EXPECT_EQ(dump(*reloaded.find(grid[2])), dump(fakeResult(300)));
+    // The reopened journal appends, so resuming twice still works.
+    EXPECT_EQ(reloaded.inserts(), 0u);
+    reloaded.insert(grid[1], fakeResult(200));
+    reloaded.close();
+
+    ResultCache full("journal");
+    full.open(path, &scope, true);
+    EXPECT_EQ(full.size(), 3u);
+    std::remove(path.c_str());
+}
+
+TEST(JournalTest, WriteFailureDegradesInsteadOfDying)
+{
+    const auto grid = tinyGrid();
+    const auto path = cachePath("journal_enospc");
+    const auto scope = scopeOf("bench", 0, 1, grid);
+
+    {
+        ResultCache journal("journal");
+        journal.open(path, &scope, false);
+        journal.insert(grid[0], fakeResult(100));
+
+        // The next append hits (injected) ENOSPC: the journal must
+        // warn and degrade, not fatal() — a full disk may disable
+        // resumability but never kill the sweep itself.
+        journal.failNextWriteForTest();
+        journal.insert(grid[1], fakeResult(200));
+        EXPECT_TRUE(journal.degraded());
+        EXPECT_TRUE(journal.isOpen());
+        EXPECT_EQ(journal.inserts(), 1u);  // only the durable one
+
+        // Further inserts are silent no-ops, not crashes.
+        journal.insert(grid[2], fakeResult(300));
+        EXPECT_EQ(journal.inserts(), 1u);
+    }
+
+    // The file holds exactly the entries appended before the failure:
+    // a clean durable prefix a --resume can still load (the lost
+    // points simply rerun).
+    ResultCache reloaded("journal");
+    reloaded.open(path, &scope, true);
+    ASSERT_EQ(reloaded.size(), 1u);
+    ASSERT_NE(reloaded.find(grid[0]), nullptr);
+    EXPECT_EQ(dump(*reloaded.find(grid[0])), dump(fakeResult(100)));
+    std::remove(path.c_str());
+}
+
+TEST(JournalTest, WithoutResumeTruncatesExistingJournal)
+{
+    const auto grid = tinyGrid();
+    const auto path = cachePath("journal_truncate");
+    const auto scope = scopeOf("bench", 0, 1, grid);
+
+    {
+        ResultCache journal("journal");
+        journal.open(path, &scope, false);
+        journal.insert(grid[0], fakeResult(100));
+    }
+    ResultCache fresh("journal");
+    fresh.open(path, &scope, false);
+    EXPECT_EQ(fresh.size(), 0u);
+    fresh.close();
+
+    ResultCache reloaded("journal");
+    reloaded.open(path, &scope, true);
+    EXPECT_EQ(reloaded.size(), 0u);
+    std::remove(path.c_str());
+}
+
+TEST(JournalTest, ResumeWithMissingFileStartsFresh)
+{
+    const auto grid = tinyGrid();
+    const auto path = cachePath("journal_missing");
+    std::remove(path.c_str());
+
+    const auto scope = scopeOf("bench", 0, 1, grid);
+    ResultCache journal("journal");
+    journal.open(path, &scope, true);
+    EXPECT_TRUE(journal.isOpen());
+    EXPECT_EQ(journal.size(), 0u);
+    journal.close();
+    std::remove(path.c_str());
+}
+
+TEST(JournalTest, TornFinalLineIsDropped)
+{
+    const auto grid = tinyGrid();
+    const auto path = cachePath("journal_torn");
+    const auto scope = scopeOf("bench", 0, 1, grid);
+
+    {
+        ResultCache journal("journal");
+        journal.open(path, &scope, false);
+        journal.insert(grid[0], fakeResult(100));
+        journal.insert(grid[1], fakeResult(200));
+    }
+    // Simulate the coordinator dying mid-append: chop the trailing
+    // newline and part of the final entry.
+    const std::string content = readFile(path);
+    ASSERT_GT(content.size(), 40u);
+    writeFile(path, content.substr(0, content.size() - 40));
+
+    ResultCache reloaded("journal");
+    reloaded.open(path, &scope, true);
+    ASSERT_EQ(reloaded.size(), 1u);
+    ASSERT_NE(reloaded.find(grid[0]), nullptr);
+    EXPECT_EQ(dump(*reloaded.find(grid[0])), dump(fakeResult(100)));
+    // Point 1 reruns and its fresh entry appends cleanly.
+    reloaded.insert(grid[1], fakeResult(200));
+    reloaded.close();
+
+    ResultCache full("journal");
+    full.open(path, &scope, true);
+    EXPECT_EQ(full.size(), 2u);
+    std::remove(path.c_str());
+}
+
+TEST(JournalTest, FailedRecordsAreSkippedSoQuarantinedPointsRerun)
+{
+    const auto grid = tinyGrid();
+    const auto path = cachePath("journal_failed");
+    const auto scope = scopeOf("bench", 0, 1, grid);
+
+    {
+        ResultCache journal("journal");
+        journal.open(path, &scope, false);
+        journal.insert(grid[0], fakeResult(100));
+        journal.insert(
+            grid[1], ExperimentResult::quarantined(3, "killed by signal 9"));
+        // The quarantine placeholder is never written.
+        EXPECT_EQ(journal.inserts(), 1u);
+    }
+
+    ResultCache reloaded("journal");
+    reloaded.open(path, &scope, true);
+    EXPECT_EQ(reloaded.size(), 1u);
+    EXPECT_EQ(reloaded.find(grid[1]), nullptr);
+    std::remove(path.c_str());
+}
+
+TEST(JournalTest, ResumeValidatesBenchShardAndGrid)
+{
+    const auto grid = tinyGrid();
+    const auto path = cachePath("journal_validate");
+
+    {
+        ResultCache journal("journal");
+        const auto scope = scopeOf("bench", 0, 1, grid);
+        journal.open(path, &scope, false);
+        journal.insert(grid[0], fakeResult(100));
+    }
+    const std::string written = readFile(path);
+
+    EXPECT_EXIT(
+        {
+            const auto scope = scopeOf("other", 0, 1, grid);
+            ResultCache journal("journal");
+            journal.open(path, &scope, true);
+        },
+        testing::ExitedWithCode(1), "belongs to bench");
+    EXPECT_EXIT(
+        {
+            const auto scope = scopeOf("bench", 1, 2, grid);
+            ResultCache journal("journal");
+            journal.open(path, &scope, true);
+        },
+        testing::ExitedWithCode(1), "shard");
+    EXPECT_EXIT(
+        {
+            auto other = tinyGrid();
+            other.pop_back();
+            const auto scope = scopeOf("bench", 0, 1, other);
+            ResultCache journal("journal");
+            journal.open(path, &scope, true);
+        },
+        testing::ExitedWithCode(1), "different grid");
+    // A refused resume never truncates the user's journal.
+    EXPECT_EQ(readFile(path), written);
+
+    // An unscoped --cache file is not a journal of this sweep either.
+    const auto cache_path = cachePath("journal_unscoped");
+    {
+        ResultCache cache;
+        cache.open(cache_path);
+        cache.insert(grid[0], fakeResult(100));
+    }
+    const std::string cache_bytes = readFile(cache_path);
+    EXPECT_EXIT(
+        {
+            const auto scope = scopeOf("bench", 0, 1, grid);
+            ResultCache journal("journal");
+            journal.open(cache_path, &scope, true);
+        },
+        testing::ExitedWithCode(1), "unscoped cache");
+    EXPECT_EQ(readFile(cache_path), cache_bytes);
+
+    // Any cache open reads a journal: its entries are content-keyed.
+    ResultCache cache;
+    cache.open(path);
+    EXPECT_NE(cache.find(grid[0]), nullptr);
+    cache.close();
+    std::remove(cache_path.c_str());
+    std::remove(path.c_str());
+}
+
+TEST(JournalTest, ResumeRefusesAPreScopeJournalUntouched)
+{
+    // A journal written before journals became scoped caches: a
+    // manifest record first, then one grid-indexed result record per
+    // completed point.
+    const auto grid = tinyGrid();
+    const auto path = cachePath("journal_prescope");
+    const auto scope = scopeOf("bench", 0, 1, grid);
+    const std::string old_format =
+        wire::encodeManifestLine(scope) + "\n" +
+        wire::encodeResultLine({0, fakeResult(100)}) + "\n";
+    writeFile(path, old_format);
+
+    EXPECT_EXIT(
+        {
+            ResultCache journal("journal");
+            journal.open(path, &scope, true);
+        },
+        testing::ExitedWithCode(1), "starts with a manifest record");
+    EXPECT_EQ(readFile(path), old_format);
     std::remove(path.c_str());
 }
 

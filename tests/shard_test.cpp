@@ -6,7 +6,8 @@
  * pools merge to exactly the unsharded results (the wire encodings are
  * compared byte-for-byte), the --worker child loop speaks the framed
  * wire protocol over a socketpair, and benchMain refuses out-of-range
- * counts and watchdog timeouts.
+ * counts and watchdog timeouts and every `--merge` input that is not a
+ * complete, disjoint cover of its grid.
  */
 
 #include <gtest/gtest.h>
@@ -14,11 +15,15 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -318,6 +323,98 @@ TEST(BenchMainFlags, OutOfRangeValuesExitNamingTheFlag)
 
     // A long but finite watchdog is valid.
     EXPECT_EQ(run("--point-timeout=3600"), 0);
+}
+
+TEST(BenchMainFlags, MergeRefusalsExitNamingTheProblem)
+{
+    std::vector<GridPoint> grid = smallGrid();
+    grid.resize(2);
+    BenchSpec spec;
+    spec.name = "shard_test";
+    spec.grid = [&grid](BenchContext &) { return grid; };
+    spec.render = [](BenchContext &,
+                     const std::vector<ExperimentResult> &) {};
+
+    const auto manifest = [&grid](const std::string &bench,
+                                  std::uint64_t shard,
+                                  std::uint64_t shards) {
+        wire::ManifestRecord record;
+        record.bench = bench;
+        record.shard = shard;
+        record.shardCount = shards;
+        record.gridPoints = grid.size();
+        record.gridHash = wire::gridHash(grid);
+        return record;
+    };
+    const auto line = [&manifest](std::uint64_t shard,
+                                  std::uint64_t shards) {
+        return wire::encodeManifestLine(
+            manifest("shard_test", shard, shards));
+    };
+    const auto result = [](std::uint64_t index) {
+        ExperimentResult result;
+        result.cycles = 100 + index;
+        return wire::encodeResultLine({index, result});
+    };
+    auto other_grid = manifest("shard_test", 0, 1);
+    other_grid.gridHash ^= 1;
+
+    std::vector<std::string> written;
+    const auto file = [&written](const std::vector<std::string> &lines) {
+        const std::string path =
+            testing::TempDir() + "acr_merge_" +
+            std::to_string(::getpid()) + "_" +
+            std::to_string(written.size()) + ".ndjson";
+        std::ofstream out(path, std::ios::trunc);
+        for (const auto &text : lines)
+            out << text << "\n";
+        written.push_back(path);
+        return path;
+    };
+    const auto merge = [&spec](const std::vector<std::string> &files) {
+        std::string flag = "--merge=";
+        for (const auto &path : files)
+            flag += path + ",";
+        const char *argv[] = {"shard_test", flag.c_str()};
+        return benchMain(2, argv, spec);
+    };
+
+    const struct
+    {
+        std::vector<std::vector<std::string>> files;
+        const char *message;
+    } cases[] = {
+        {{{wire::encodeManifestLine(manifest("other", 0, 1)), result(0),
+           result(1)}},
+         "belongs to bench 'other', not 'shard_test'"},
+        {{{wire::encodeManifestLine(other_grid), result(0), result(1)}},
+         "different grid"},
+        {{{line(0, 2), result(0)}, {line(1, 3)}},
+         "declares 1/3 but earlier files declared 1/2"},
+        {{{line(0, 2), result(0)}, {line(0, 2)}}, "shard 0 appears twice"},
+        {{{line(0, 2), result(0)}}, "shard 1/2 is missing from --merge"},
+        {{{result(0), line(0, 1), result(1)}},
+         "result record before the manifest"},
+        {{{line(0, 2), result(1)}, {line(1, 2)}},
+         "result index 1 does not belong to shard 0/2"},
+        {{{line(0, 1), result(0), result(0), result(1)}},
+         "duplicate result for index 0"},
+    };
+    for (const auto &refusal : cases) {
+        std::vector<std::string> paths;
+        for (const auto &lines : refusal.files)
+            paths.push_back(file(lines));
+        EXPECT_EXIT(merge(paths), testing::ExitedWithCode(1),
+                    refusal.message)
+            << refusal.message;
+    }
+
+    // The same inputs, well formed, merge cleanly.
+    EXPECT_EQ(merge({file({line(0, 2), result(0)}),
+                     file({line(1, 2), result(1)})}),
+              0);
+    for (const auto &path : written)
+        std::remove(path.c_str());
 }
 
 } // namespace

@@ -1,24 +1,18 @@
 /**
  * @file
  * Fault-tolerance layer tests (DESIGN.md §10): backoff determinism,
- * the quarantine placeholder and its FAILED-cell rendering, the
- * `failed` wire record, and the crash-safe Journal — fresh/reload
- * round trips, torn-tail tolerance, failed-record rerun semantics,
- * and grid validation. The end-to-end crash/respawn/resume behavior
- * of the Supervisor itself is exercised against real forked workers
- * by tests/fault_smoke.cmake.
+ * the quarantine placeholder and its FAILED-cell rendering, and the
+ * `failed` wire record. The journal behind `--resume` is a scoped
+ * ResultCache (tests/result_cache_test.cpp). The end-to-end
+ * crash/respawn/resume behavior of the Supervisor itself is exercised
+ * against real forked workers by tests/fault_smoke.cmake.
  */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "common/table.hh"
 #include "harness/supervisor.hh"
@@ -28,46 +22,6 @@ namespace
 
 using namespace acr;
 using namespace acr::harness;
-
-std::vector<GridPoint>
-tinyGrid()
-{
-    std::vector<GridPoint> points;
-    ExperimentConfig config;
-    config.mode = BerMode::kNoCkpt;
-    points.push_back({"is", config, 2});
-    config.mode = BerMode::kCkpt;
-    points.push_back({"is", config, 2});
-    config.mode = BerMode::kReCkpt;
-    points.push_back({"is", config, 2});
-    return points;
-}
-
-/** A distinguishable successful result. */
-ExperimentResult
-fakeResult(std::uint64_t cycles)
-{
-    ExperimentResult result;
-    result.cycles = cycles;
-    result.energyPj = static_cast<double>(cycles) * 2.0;
-    result.edp = static_cast<double>(cycles) * 3.0;
-    result.checkpointsEstablished = 7;
-    return result;
-}
-
-std::string
-dump(const ExperimentResult &result)
-{
-    return wire::encodeResult(result).dump();
-}
-
-/** Per-test journal path under gtest's temp dir. */
-std::string
-journalPath(const std::string &tag)
-{
-    return testing::TempDir() + "acr_journal_" + tag + "_" +
-           std::to_string(::getpid()) + ".ndjson";
-}
 
 TEST(Backoff, DeterministicJitteredAndCapped)
 {
@@ -146,202 +100,6 @@ TEST(WireFailed, RoundTripsAndResultEncodingRefusesQuarantine)
     EXPECT_THROW(wire::encodeResult(
                      ExperimentResult::quarantined(2, "boom")),
                  serde::SerdeError);
-}
-
-TEST(JournalTest, FreshThenResumeServesRecordedResults)
-{
-    const auto grid = tinyGrid();
-    const auto path = journalPath("fresh");
-
-    {
-        Journal journal;
-        journal.open(path, false, "bench", 0, 1, grid);
-        ASSERT_TRUE(journal.isOpen());
-        EXPECT_TRUE(journal.entries().empty());
-        journal.record(0, fakeResult(100));
-        journal.record(2, fakeResult(300));
-        EXPECT_EQ(journal.appended(), 2u);
-    }
-
-    Journal reloaded;
-    reloaded.open(path, true, "bench", 0, 1, grid);
-    ASSERT_EQ(reloaded.entries().size(), 2u);
-    EXPECT_EQ(dump(reloaded.entries().at(0)), dump(fakeResult(100)));
-    EXPECT_EQ(dump(reloaded.entries().at(2)), dump(fakeResult(300)));
-    // The reopened journal appends, so resuming twice still works.
-    EXPECT_EQ(reloaded.appended(), 0u);
-    reloaded.record(1, fakeResult(200));
-    reloaded.close();
-
-    Journal full;
-    full.open(path, true, "bench", 0, 1, grid);
-    EXPECT_EQ(full.entries().size(), 3u);
-    std::remove(path.c_str());
-}
-
-TEST(JournalTest, WriteFailureDegradesInsteadOfDying)
-{
-    const auto grid = tinyGrid();
-    const auto path = journalPath("enospc");
-
-    {
-        Journal journal;
-        journal.open(path, false, "bench", 0, 1, grid);
-        journal.record(0, fakeResult(100));
-
-        // The next append hits (injected) ENOSPC: the journal must
-        // warn and degrade, not fatal() — a full disk may disable
-        // resumability but never kill the sweep itself.
-        journal.failNextWriteForTest();
-        journal.record(1, fakeResult(200));
-        EXPECT_TRUE(journal.degraded());
-        EXPECT_TRUE(journal.isOpen());
-        EXPECT_EQ(journal.appended(), 1u);  // only the durable one
-
-        // Further records are silent no-ops, not crashes.
-        journal.record(2, fakeResult(300));
-        EXPECT_EQ(journal.appended(), 1u);
-    }
-
-    // The file holds exactly the records appended before the failure:
-    // a clean durable prefix a --resume can still load (the lost
-    // points simply rerun).
-    Journal reloaded;
-    reloaded.open(path, true, "bench", 0, 1, grid);
-    ASSERT_EQ(reloaded.entries().size(), 1u);
-    EXPECT_EQ(dump(reloaded.entries().at(0)), dump(fakeResult(100)));
-    std::remove(path.c_str());
-}
-
-TEST(JournalTest, WithoutResumeTruncatesExistingJournal)
-{
-    const auto grid = tinyGrid();
-    const auto path = journalPath("truncate");
-
-    {
-        Journal journal;
-        journal.open(path, false, "bench", 0, 1, grid);
-        journal.record(0, fakeResult(100));
-    }
-    Journal fresh;
-    fresh.open(path, false, "bench", 0, 1, grid);
-    EXPECT_TRUE(fresh.entries().empty());
-    fresh.close();
-
-    Journal reloaded;
-    reloaded.open(path, true, "bench", 0, 1, grid);
-    EXPECT_TRUE(reloaded.entries().empty());
-    std::remove(path.c_str());
-}
-
-TEST(JournalTest, ResumeWithMissingFileStartsFresh)
-{
-    const auto grid = tinyGrid();
-    const auto path = journalPath("missing");
-    std::remove(path.c_str());
-
-    Journal journal;
-    journal.open(path, true, "bench", 0, 1, grid);
-    EXPECT_TRUE(journal.isOpen());
-    EXPECT_TRUE(journal.entries().empty());
-    journal.close();
-    std::remove(path.c_str());
-}
-
-TEST(JournalTest, TornFinalLineIsDropped)
-{
-    const auto grid = tinyGrid();
-    const auto path = journalPath("torn");
-
-    {
-        Journal journal;
-        journal.open(path, false, "bench", 0, 1, grid);
-        journal.record(0, fakeResult(100));
-        journal.record(1, fakeResult(200));
-    }
-    // Simulate the coordinator dying mid-append: chop the trailing
-    // newline and half the final record.
-    std::string content;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        content = buffer.str();
-    }
-    ASSERT_GT(content.size(), 40u);
-    {
-        std::ofstream out(path,
-                          std::ios::binary | std::ios::trunc);
-        out << content.substr(0, content.size() - 40);
-    }
-
-    Journal reloaded;
-    reloaded.open(path, true, "bench", 0, 1, grid);
-    ASSERT_EQ(reloaded.entries().size(), 1u);
-    EXPECT_EQ(dump(reloaded.entries().at(0)), dump(fakeResult(100)));
-    // Point 1 reruns and its fresh record appends cleanly.
-    reloaded.record(1, fakeResult(200));
-    reloaded.close();
-
-    Journal full;
-    full.open(path, true, "bench", 0, 1, grid);
-    EXPECT_EQ(full.entries().size(), 2u);
-    std::remove(path.c_str());
-}
-
-TEST(JournalTest, FailedRecordsAreSkippedSoQuarantinedPointsRerun)
-{
-    const auto grid = tinyGrid();
-    const auto path = journalPath("failed");
-
-    {
-        Journal journal;
-        journal.open(path, false, "bench", 0, 1, grid);
-        journal.record(0, fakeResult(100));
-        journal.record(
-            1, ExperimentResult::quarantined(3, "killed by signal 9"));
-        EXPECT_EQ(journal.appended(), 2u);
-    }
-
-    Journal reloaded;
-    reloaded.open(path, true, "bench", 0, 1, grid);
-    EXPECT_EQ(reloaded.entries().size(), 1u);
-    EXPECT_EQ(reloaded.entries().count(1), 0u);
-    std::remove(path.c_str());
-}
-
-TEST(JournalTest, ResumeValidatesBenchShardAndGrid)
-{
-    const auto grid = tinyGrid();
-    const auto path = journalPath("validate");
-
-    {
-        Journal journal;
-        journal.open(path, false, "bench", 0, 1, grid);
-        journal.record(0, fakeResult(100));
-    }
-
-    EXPECT_EXIT(
-        {
-            Journal journal;
-            journal.open(path, true, "other", 0, 1, grid);
-        },
-        testing::ExitedWithCode(1), "belongs to bench");
-    EXPECT_EXIT(
-        {
-            Journal journal;
-            journal.open(path, true, "bench", 1, 2, grid);
-        },
-        testing::ExitedWithCode(1), "shard");
-    EXPECT_EXIT(
-        {
-            auto other = tinyGrid();
-            other.pop_back();
-            Journal journal;
-            journal.open(path, true, "bench", 0, 1, other);
-        },
-        testing::ExitedWithCode(1), "different grid");
-    std::remove(path.c_str());
 }
 
 } // namespace
