@@ -23,8 +23,16 @@ fi
 
 : > bench_output.txt
 for b in build/bench/*; do
-    [ -x "$b" ] || continue
+    [ -f "$b" ] && [ -x "$b" ] || continue
     echo "===== $b =====" | tee -a bench_output.txt
-    "$b" 2>&1 | tee -a bench_output.txt
+    # Same reason as above: capture, log, then check the bench's own
+    # status — a failing bench fails the script.
+    status=0
+    output=$("$b" 2>&1) || status=$?
+    printf '%s\n' "$output" | tee -a bench_output.txt
+    if [ "$status" -ne 0 ]; then
+        echo "run_all.sh: $b failed (exit $status); see bench_output.txt" >&2
+        exit "$status"
+    fi
     echo | tee -a bench_output.txt
 done

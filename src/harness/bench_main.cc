@@ -74,7 +74,9 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
                   "binary on socketpairs, supervised like --listen "
                   "members (0: in-process threads)");
     parser.addString("shard", "",
-                     "run only shard i of N ('i/N') and emit wire "
+                     "run only shard i of N ('i/N': the i-th of N "
+                     "equal contiguous chunks of the grid, points that "
+                     "share a slice pass kept together) and emit wire "
                      "records instead of rendering");
     parser.addString("merge", "",
                      "comma-separated shard record files to merge and "
@@ -265,6 +267,7 @@ mergeShardFiles(const BenchSpec &spec,
         std::string line;
         bool have_manifest = false;
         std::uint64_t file_shard = 0;
+        std::vector<std::size_t> file_owned;  // ascending
         std::size_t line_number = 0;
         while (std::getline(in, line)) {
             ++line_number;
@@ -286,6 +289,14 @@ mergeShardFiles(const BenchSpec &spec,
                     wire::manifestMismatch(manifest, want);
                 if (!problem.empty())
                     fatal("%s: shard %s", file.c_str(), problem.c_str());
+                if (manifest.shardCount == 0 ||
+                    manifest.shard >= manifest.shardCount ||
+                    manifest.shardCount >
+                        std::numeric_limits<unsigned>::max())
+                    fatal("%s: bad shard %llu/%llu", file.c_str(),
+                          static_cast<unsigned long long>(manifest.shard),
+                          static_cast<unsigned long long>(
+                              manifest.shardCount));
                 if (shard_count == 0)
                     shard_count = manifest.shardCount;
                 else if (shard_count != manifest.shardCount)
@@ -302,6 +313,9 @@ mergeShardFiles(const BenchSpec &spec,
                           static_cast<unsigned long long>(
                               manifest.shard));
                 file_shard = manifest.shard;
+                file_owned = ShardedSweep::shardIndices(
+                    grid, {static_cast<unsigned>(file_shard),
+                           static_cast<unsigned>(shard_count)});
                 continue;
             }
             // A shard stream carries its quarantined points as
@@ -324,7 +338,8 @@ mergeShardFiles(const BenchSpec &spec,
                 fatal("%s:%zu: result index %llu out of range",
                       file.c_str(), line_number,
                       static_cast<unsigned long long>(index));
-            if (index % shard_count != file_shard)
+            if (!std::binary_search(file_owned.begin(), file_owned.end(),
+                                    index))
                 fatal("%s:%zu: result index %llu does not belong to "
                       "shard %llu/%llu",
                       file.c_str(), line_number,
@@ -452,8 +467,7 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
             mergeShardFiles(spec, grid, options.mergeFiles);
         spec.render(context, results);
         int code = quarantineExit(
-            grid, ShardedSweep::shardIndices(grid.size(), {}),
-            results);
+            grid, ShardedSweep::shardIndices(grid, {}), results);
         if (spec.exitCode)
             code = combineExitCodes(code,
                                     spec.exitCode(context, results));
@@ -464,8 +478,7 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
 
     const ShardedSweep::Shard shard =
         options.shardMode ? options.shard : ShardedSweep::Shard{};
-    const auto owned =
-        ShardedSweep::shardIndices(grid.size(), shard);
+    const auto owned = ShardedSweep::shardIndices(grid, shard);
 
     // Which slice of which grid this invocation sweeps: the journal's
     // scope, and in shard mode the manifest line that heads stdout.

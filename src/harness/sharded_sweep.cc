@@ -4,6 +4,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -12,8 +13,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <ostream>
 #include <thread>
+#include <tuple>
 
 #include "common/logging.hh"
 #include "common/options.hh"
@@ -261,24 +264,35 @@ class OrderedMerger
 };
 
 /** Deliver every owned point controls.cache already holds (journal and
- *  result-cache hits); return the slots left to simulate. */
-std::vector<std::size_t>
+ *  result-cache hits); return the rest of @p points' deal order, the
+ *  points left to simulate. */
+std::vector<ShardedSweep::Deal>
 serveCompleted(const ShardedSweep::SweepControls &controls,
+               const std::vector<GridPoint> &points,
                const std::vector<std::size_t> &grid_indices,
                OrderedMerger &merger)
 {
-    std::vector<std::size_t> pending;
-    for (std::size_t slot = 0; slot < grid_indices.size(); ++slot) {
+    std::vector<ShardedSweep::Deal> pending;
+    for (const auto &deal : ShardedSweep::dealOrder(points, grid_indices)) {
         if (controls.cache != nullptr) {
-            const auto hit = controls.cache->find(grid_indices[slot]);
+            const auto hit = controls.cache->find(grid_indices[deal.slot]);
             if (hit != controls.cache->end()) {
-                merger.deliver(slot, hit->second);
+                merger.deliver(deal.slot, hit->second);
                 continue;
             }
         }
-        pending.push_back(slot);
+        pending.push_back(deal);
     }
     return pending;
+}
+
+/** A worker process's clean-exit report on stderr. */
+void
+reportWork(const RunnerPool &pool, const WorkerHooks &hooks)
+{
+    std::fprintf(stderr, "[worker] %llu point(s), %llu slice pass(es)\n",
+                 hooks.processed,
+                 static_cast<unsigned long long>(pool.slicePassRuns()));
 }
 
 } // namespace
@@ -291,6 +305,16 @@ RunnerPool::at(unsigned threads)
     if (!slot)
         slot = std::make_unique<Runner>(threads, scale_);
     return *slot;
+}
+
+std::uint64_t
+RunnerPool::slicePassRuns() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::uint64_t runs = 0;
+    for (const auto &[threads, runner] : runners_)
+        runs += runner->slicePassRuns();
+    return runs;
 }
 
 ShardedSweep::ShardedSweep(RunnerPool &pool, unsigned jobs)
@@ -312,14 +336,48 @@ ShardedSweep::defaultJobs()
     return hw > 0 ? hw : 1;
 }
 
+std::vector<ShardedSweep::Deal>
+ShardedSweep::dealOrder(const std::vector<GridPoint> &points,
+                        const std::vector<std::size_t> &indices)
+{
+    // Runner::profileAt's cache key, within the RunnerPool's Runner
+    // for the point's core count.
+    using PassKey = std::tuple<unsigned, std::string, unsigned, int>;
+    std::map<PassKey, std::size_t> groups;
+    std::vector<Deal> order;
+    for (std::size_t slot = 0; slot < indices.size(); ++slot) {
+        const GridPoint &point = points[indices[slot]];
+        const unsigned threshold =
+            point.config.sliceThreshold != 0
+                ? point.config.sliceThreshold
+                : Runner::defaultThreshold(point.workload);
+        const PassKey key{point.threads, point.workload, threshold,
+                          static_cast<int>(point.config.policy)};
+        order.push_back(
+            {slot, groups.emplace(key, groups.size()).first->second});
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [](const Deal &a, const Deal &b) {
+                         return a.group < b.group;
+                     });
+    return order;
+}
+
 std::vector<std::size_t>
-ShardedSweep::shardIndices(std::size_t total, Shard shard)
+ShardedSweep::shardIndices(const std::vector<GridPoint> &points,
+                           Shard shard)
 {
     ACR_ASSERT(shard.count > 0 && shard.index < shard.count,
                "bad shard %u/%u", shard.index, shard.count);
+    std::vector<std::size_t> all(points.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    const auto order = dealOrder(points, all);
+    const std::size_t begin = order.size() * shard.index / shard.count;
+    const std::size_t end = order.size() * (shard.index + 1) / shard.count;
     std::vector<std::size_t> indices;
-    for (std::size_t i = shard.index; i < total; i += shard.count)
-        indices.push_back(i);
+    for (std::size_t i = begin; i < end; ++i)
+        indices.push_back(order[i].slot);
+    std::sort(indices.begin(), indices.end());
     return indices;
 }
 
@@ -368,12 +426,21 @@ std::vector<ExperimentResult>
 ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
                   const SweepControls &controls)
 {
-    const auto indices = shardIndices(points.size(), shard);
+    const auto indices = shardIndices(points, shard);
     const auto wall_start = std::chrono::steady_clock::now();
+    const std::uint64_t passes_before = pool_.slicePassRuns();
     std::vector<double> point_millis(indices.size(), 0.0);
 
     OrderedMerger merger(indices, controls.sink);
-    const auto pending = serveCompleted(controls, indices, merger);
+    const auto deals = serveCompleted(controls, points, indices, merger);
+    // Breadth-first over the pass groups: each group's first point,
+    // then the rest group by group.
+    std::vector<std::size_t> pending, rest;
+    for (std::size_t i = 0; i < deals.size(); ++i) {
+        const bool head = i == 0 || deals[i].group != deals[i - 1].group;
+        (head ? pending : rest).push_back(deals[i].slot);
+    }
+    pending.insert(pending.end(), rest.begin(), rest.end());
     std::atomic<std::size_t> next{0};
     auto worker = [&] {
         while (true) {
@@ -413,6 +480,9 @@ ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
         work += point_millis[slot];
     }
     hostStats_.set("sweep.workMillis", work);
+    hostStats_.set("sweep.slicePasses",
+                   static_cast<double>(pool_.slicePassRuns() -
+                                       passes_before));
     return results;
 }
 
@@ -428,7 +498,7 @@ ShardedSweep::runDistributed(const std::vector<GridPoint> &points,
             fatal("GridPoint trace sinks cannot cross a process "
                   "boundary; use the in-process executor");
 
-    const auto indices = shardIndices(points.size(), shard);
+    const auto indices = shardIndices(points, shard);
     const auto wall_start = std::chrono::steady_clock::now();
 
     // The supervisor delivers in completion order; the merger fires
@@ -437,8 +507,10 @@ ShardedSweep::runDistributed(const std::vector<GridPoint> &points,
     // crashes, retries, or journal hits.
     OrderedMerger merger(indices, controls.sink);
     std::vector<Supervisor::Task> tasks;
-    for (const std::size_t slot : serveCompleted(controls, indices, merger))
-        tasks.push_back({slot, indices[slot], &points[indices[slot]]});
+    for (const auto &deal :
+         serveCompleted(controls, points, indices, merger))
+        tasks.push_back({deal.slot, indices[deal.slot],
+                         &points[indices[deal.slot]], deal.group});
 
     const bool local = !workerCmd.empty();
     StatSet supervision;
@@ -525,7 +597,10 @@ ShardedSweep::netWorkerLoop(RunnerPool &pool, const std::string &bench,
                          static_cast<unsigned long long>(heartbeatSec) *
                              10,
                          error.c_str());
-            return ever_joined ? 0 : 1;
+            if (!ever_joined)
+                return 1;
+            reportWork(pool, hooks);
+            return 0;
         }
         net::FrameChannel channel(fd, &fault);
         bool joined = false;
@@ -533,8 +608,10 @@ ShardedSweep::netWorkerLoop(RunnerPool &pool, const std::string &bench,
             serveChannel(pool, channel, &identity, hooks, joined, error);
         ever_joined = ever_joined || joined;
         down_since = Clock::now();  // connected counts as healthy
-        if (end == ChannelEnd::kShutdown)
+        if (end == ChannelEnd::kShutdown) {
+            reportWork(pool, hooks);
             return 0;
+        }
         if (end == ChannelEnd::kMismatch)
             return 1;  // version/bench/grid skew: reconnecting is futile
         if (!error.empty())
@@ -559,8 +636,10 @@ ShardedSweep::childWorkerLoop(RunnerPool &pool, int fd)
     std::string error;
     const ChannelEnd end =
         serveChannel(pool, channel, nullptr, hooks, joined, error);
-    if (end == ChannelEnd::kShutdown)
+    if (end == ChannelEnd::kShutdown) {
+        reportWork(pool, hooks);
         return 0;
+    }
     if (!error.empty())
         std::fprintf(stderr, "sweep worker: %s\n", error.c_str());
     return 1;
@@ -617,6 +696,8 @@ ShardedSweep::reportTiming(std::ostream &os) const
     os << " on " << jobs_ << " job(s): " << wall << " ms wall, " << work
        << " ms of work (parallelism "
        << (wall > 0.0 ? work / wall : 0.0) << "x)\n";
+    os << "[sweep] " << hostStats_.get("sweep.slicePasses")
+       << " slice pass(es)\n";
 }
 
 } // namespace acr::harness

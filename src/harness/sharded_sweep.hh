@@ -1,12 +1,14 @@
 /**
  * @file
  * ShardedSweep: the one sweep executor. A coordinator enumerates an
- * experiment grid (std::vector<GridPoint>), partitions it
- * deterministically — `--shard=i/N` carves out every N-th point for
- * static machine-level sharding — runs its slice on in-process threads
- * or on a supervised fleet of worker processes (local `--worker`
- * children or `--connect` workers), and merges results back **in
- * submission order**, so the rendered output is bit-identical to a
+ * experiment grid (std::vector<GridPoint>), puts it in one pass-group
+ * deal order (dealOrder(): points that share a Runner slice pass are
+ * adjacent), partitions it deterministically — `--shard=i/N` takes the
+ * i-th contiguous, size-balanced chunk of that order for static
+ * machine-level sharding — runs its slice on in-process threads or on
+ * a supervised fleet of worker processes (local `--worker` children or
+ * `--connect` workers) in the same order, and merges results back **in
+ * grid order**, so the rendered output is bit-identical to a
  * `--jobs=1` single-process run no matter how the work was spread.
  *
  * Worker processes speak the wire format (harness/wire.hh) inside
@@ -23,6 +25,7 @@
 #ifndef ACR_HARNESS_SHARDED_SWEEP_HH
 #define ACR_HARNESS_SHARDED_SWEEP_HH
 
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <map>
@@ -53,8 +56,11 @@ class RunnerPool
 
     Runner &at(unsigned threads);
 
+    /** Slice passes computed so far, summed over every Runner. */
+    std::uint64_t slicePassRuns() const;
+
   private:
-    std::mutex mutex_;
+    mutable std::mutex mutex_;
     unsigned scale_;
     std::map<unsigned, std::unique_ptr<Runner>> runners_;
 };
@@ -63,8 +69,8 @@ class RunnerPool
 class ShardedSweep
 {
   public:
-    /** A static partition: this invocation owns every point whose grid
-     *  index i satisfies i % count == index. */
+    /** A static partition: this invocation owns the index-th of count
+     *  contiguous, size-balanced chunks of the grid's dealOrder(). */
     struct Shard
     {
         unsigned index;
@@ -137,9 +143,31 @@ class ShardedSweep
 
     unsigned jobs() const { return jobs_; }
 
-    /** Grid indices owned by @p shard, ascending. */
-    static std::vector<std::size_t> shardIndices(std::size_t total,
-                                                 Shard shard);
+    /** One owned point in deal order: its merge slot and pass group. */
+    struct Deal
+    {
+        std::size_t slot;   ///< position in the owned grid indices
+        std::size_t group;  ///< pass group, numbered by first appearance
+    };
+
+    /**
+     * The one deal order of every sweep mode (DESIGN.md §7): the
+     * points at @p indices (ascending grid indices into @p points)
+     * grouped by the Runner slice pass they share, keyed by (threads,
+     * workload, resolved sliceThreshold, policy) exactly as Runner::run
+     * resolves it. Groups are numbered and listed in first-appearance
+     * order; inside a group, points keep grid order.
+     */
+    static std::vector<Deal>
+    dealOrder(const std::vector<GridPoint> &points,
+              const std::vector<std::size_t> &indices);
+
+    /** Grid indices owned by @p shard, ascending: chunk shard.index
+     *  of shard.count contiguous chunks of the whole grid's
+     *  dealOrder(), sized to differ by at most one point. A pass group
+     *  no larger than a chunk spans at most two shards. */
+    static std::vector<std::size_t>
+    shardIndices(const std::vector<GridPoint> &points, Shard shard);
 
     /** Parse "i/N" (0 <= i < N); fatal() on malformed input. */
     static Shard parseShard(const std::string &spec);
@@ -147,10 +175,13 @@ class ShardedSweep
     /**
      * Execute this shard's slice of @p points on min(jobs, unserved
      * points) in-process threads — none when every owned point is
-     * served. Returns the owned results in ascending grid-index order
-     * (all of them when shard is the default whole-grid 0/1). Points
-     * must be independent: a non-null config.trace sink must not be
-     * shared between points (trace sinks are not synchronized).
+     * served. Threads take the deal order breadth-first: every pass
+     * group's first point, then the rest group by group, so no thread
+     * waits on a slice pass another thread started. Returns the owned
+     * results in ascending grid-index order (all of them when shard is
+     * the default whole-grid 0/1). Points must be independent: a
+     * non-null config.trace sink must not be shared between points
+     * (trace sinks are not synchronized).
      */
     std::vector<ExperimentResult>
     run(const std::vector<GridPoint> &points, Shard shard = {},
@@ -166,8 +197,9 @@ class ShardedSweep
     /**
      * Supervised multi-process execution of this shard's slice
      * (DESIGN.md §15) via Supervisor::run: points are dealt one at a
-     * time to idle framed-channel members, a lost or wedged member's
-     * point is retried with backoff, and a point that exhausts its
+     * time, in deal order and pass-group affine, to idle
+     * framed-channel members, a lost or wedged member's point is
+     * retried with backoff, and a point that exhausts its
      * retries is delivered as an ExperimentResult::quarantined
      * placeholder. With @p workerCmd (argv of a `--worker` invocation
      * of this binary; see selfExecutable()) the fleet is
@@ -236,8 +268,9 @@ class ShardedSweep
 
     /** Host-side timing of the most recent run()/runDistributed():
      *  sweep.jobs or sweep.forkedWorkers, sweep.points,
-     *  sweep.wallMillis, and for in-process runs sweep.workMillis
-     *  plus sweep.point.<index>.millis. Supervised runs add the Supervisor counters
+     *  sweep.wallMillis, and for in-process runs sweep.workMillis,
+     *  sweep.slicePasses (passes this run computed) and
+     *  sweep.point.<index>.millis. Supervised runs add the Supervisor counters
      *  (sweep.retries, sweep.workerCrashes, sweep.watchdogKills,
      *  sweep.quarantined, and sweep.respawns for a local fleet or
      *  sweep.netJoins and sweep.netLeaves for a remote one). */

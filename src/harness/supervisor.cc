@@ -85,7 +85,10 @@ struct Member
     pid_t pid = -1;  ///< local child; -1 for an accepted peer
     net::FrameChannel channel;
     State state = State::kHandshake;
+    std::size_t group = Supervisor::kNoGroup;  ///< pass group it works
+    bool fresh = false;          ///< attempt opens group: pass included
     Attempt attempt;             ///< valid while kBusy
+    Clock::time_point dealtAt;   ///< valid while kBusy
     Clock::time_point deadline;  ///< valid while kBusy w/ watchdog
     Clock::time_point lastHeard;
     Clock::time_point lastPing;
@@ -136,6 +139,27 @@ Supervisor::backoffSeconds(const Options &options, unsigned tries,
     return delay * (0.5 + rng.uniform());
 }
 
+std::size_t
+Supervisor::pickGroup(std::size_t own, const std::vector<std::size_t> &ready,
+                      const std::vector<std::size_t> &workers,
+                      const std::vector<std::uint64_t> &holder,
+                      double passPoints)
+{
+    if (own != kNoGroup && ready[own] > 0)
+        return own;
+    std::size_t steal = kNoGroup;
+    for (std::size_t group = 0; group < ready.size(); ++group) {
+        if (ready[group] == 0)
+            continue;
+        if (holder[group] == 0)
+            return group;
+        if ((steal == kNoGroup || ready[group] > ready[steal]) &&
+            ready[group] > workers[group] * passPoints)
+            steal = group;
+    }
+    return steal;
+}
+
 void
 Supervisor::run(const std::vector<Task> &tasks,
                 const NetOptions &net_options, const Deliver &deliver,
@@ -157,6 +181,16 @@ Supervisor::run(const std::vector<Task> &tasks,
     for (const auto &task : tasks)
         queue.push_back({task, 0, Clock::now()});
     std::size_t remaining = tasks.size();
+
+    // Pass-group affinity: the id of the member holding each group (0:
+    // none; ids start at 1), and the summed time and count of the points
+    // that open a group on a member (pass included) and of the rest,
+    // whose means price a steal's pass for pickGroup.
+    std::size_t groups = 0;
+    for (const auto &task : tasks)
+        groups = std::max(groups, task.group + 1);
+    std::vector<std::uint64_t> holder(groups, 0);
+    double timed_sec[2] = {0, 0}, timed_points[2] = {0, 0};  // [fresh]
 
     int listen_fd = -1;
     if (!local) {
@@ -239,6 +273,12 @@ Supervisor::run(const std::vector<Task> &tasks,
         admit(pid, fds[0]);
     };
 
+    // Give up the pass group @p member holds, if it holds one.
+    auto release = [&](const Member &member) {
+        if (member.group != kNoGroup && holder[member.group] == member.id)
+            holder[member.group] = 0;
+    };
+
     // Drop a member; a busy one's in-flight point re-enters the
     // retry/backoff/quarantine ladder, an idle leave costs nothing. A
     // local child is reaped: SIGKILLed at once unless its channel
@@ -247,6 +287,7 @@ Supervisor::run(const std::vector<Task> &tasks,
     auto dropMember = [&](Member *member, std::string reason,
                           bool peer_closed) {
         member->channel.close();
+        release(*member);
         if (member->pid > 0) {
             const int status = reapChild(
                 member->pid,
@@ -367,6 +408,10 @@ Supervisor::run(const std::vector<Task> &tasks,
                        false);
             return false;
         }
+        timed_sec[member->fresh] +=
+            std::chrono::duration<double>(Clock::now() - member->dealtAt)
+                .count();
+        ++timed_points[member->fresh];
         deliver(member->attempt.task, std::move(record.result.result));
         member->state = Member::State::kIdle;
         --remaining;
@@ -402,20 +447,45 @@ Supervisor::run(const std::vector<Task> &tasks,
         }
         const auto now = Clock::now();
 
-        // Deal ready work to idle members (dynamic work-stealing: the
-        // next free member takes the next ready point, so a fleet of
-        // any changing size drains the same queue).
+        // Deal ready work to idle members, pass-group affine
+        // (pickGroup), so each group's slice pass is computed by one
+        // member rather than by every member that touches it. A steal
+        // is priced at a pass's length in point times: how much longer
+        // the points that open a group on a member take than the rest.
+        double pass_points = 0;
+        if (timed_points[0] > 0 && timed_points[1] > 0 && timed_sec[0] > 0)
+            pass_points = std::max(
+                0.0, (timed_sec[1] / timed_points[1]) /
+                             (timed_sec[0] / timed_points[0]) -
+                         1.0);
         for (auto &member : members) {
             if (member->state != Member::State::kIdle || queue.empty())
                 continue;
-            const auto ready = std::find_if(
-                queue.begin(), queue.end(),
-                [&](const Attempt &a) { return a.readyAt <= now; });
-            if (ready == queue.end())
-                break;
-            member->attempt = *ready;
-            queue.erase(ready);
+            std::vector<std::size_t> ready(groups, 0), workers(groups, 0);
+            for (const auto &attempt : queue)
+                if (attempt.readyAt <= now)
+                    ++ready[attempt.task.group];
+            for (const auto &other : members)
+                if (other->group != kNoGroup)
+                    ++workers[other->group];
+            const std::size_t group = pickGroup(member->group, ready,
+                                                workers, holder, pass_points);
+            if (group == kNoGroup)
+                continue;
+            if (holder[group] == 0) {
+                release(*member);
+                holder[group] = member->id;
+            }
+            member->fresh = group != member->group;
+            member->group = group;
+            const auto ready_point = std::find_if(
+                queue.begin(), queue.end(), [&](const Attempt &a) {
+                    return a.readyAt <= now && a.task.group == group;
+                });
+            member->attempt = *ready_point;
+            queue.erase(ready_point);
             member->state = Member::State::kBusy;
+            member->dealtAt = now;
             member->channel.send(
                 net::FrameType::kWire,
                 wire::encodePointLine(
@@ -489,8 +559,11 @@ Supervisor::run(const std::vector<Task> &tasks,
                 timeout_ms,
                 static_cast<int>(std::max<long long>(0, delta)));
         };
+        // A ready point waits for a member, not a timer: only backoff
+        // expiries wake the loop.
         for (const auto &attempt : queue)
-            wakeAt(attempt.readyAt);
+            if (attempt.readyAt > now)
+                wakeAt(attempt.readyAt);
         for (const auto &member : members)
             if (member->state == Member::State::kBusy &&
                 options_.pointTimeoutSec > 0)

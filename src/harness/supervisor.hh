@@ -5,7 +5,8 @@
  * long-running sweeps (DESIGN.md §10).
  *
  * `Supervisor` deals points one at a time to a fleet of framed-channel
- * members (harness/net.hh) from a single-threaded poll() loop. The
+ * members (harness/net.hh) from a single-threaded poll() loop, each
+ * member affine to one slice-pass group at a time. The
  * fleet is either local — `--worker` children forked over socketpairs
  * (`--forks`), kept at strength, SIGKILLed by the per-point watchdog
  * and reaped so their wait status names each crash — or remote —
@@ -98,6 +99,7 @@ class Supervisor
         std::size_t slot = 0;       ///< caller's merge slot
         std::size_t gridIndex = 0;  ///< index the worker echoes back
         const GridPoint *point = nullptr;
+        std::size_t group = 0;      ///< pass group (ShardedSweep::dealOrder)
     };
 
     /**
@@ -117,11 +119,12 @@ class Supervisor
     explicit Supervisor(Options options);
 
     /**
-     * Run every task to completion (success or quarantine). A remote
-     * fleet listens on @p net.listen and announces the bound endpoint
-     * (port 0 resolved) as "[net] listening on HOST:PORT" on stderr;
-     * membership is elastic — workers may join late, leave idle,
-     * crash busy, or reconnect. A local fleet forks its members and
+     * Run every task to completion (success or quarantine), dealing
+     * @p tasks in their given order, pass-group affine (pickGroup). A
+     * remote fleet listens on @p net.listen and announces the bound
+     * endpoint (port 0 resolved) as "[net] listening on HOST:PORT" on
+     * stderr; membership is elastic — workers may join late, leave
+     * idle, crash busy, or reconnect. A local fleet forks its members and
      * replaces each one it loses. Either way a lost busy member's
      * point re-enters the one retry/backoff/quarantine ladder.
      * Counters in @p stats: sweep.retries, sweep.workerCrashes (busy
@@ -137,6 +140,26 @@ class Supervisor
      *  Exposed for tests. */
     static double backoffSeconds(const Options &options, unsigned tries,
                                  std::size_t gridIndex);
+
+    /** Member's group before it takes its first point. */
+    static constexpr std::size_t kNoGroup = ~std::size_t{0};
+
+    /**
+     * The deal rule: the pass group an idle member working @p own takes
+     * its next point from, given per group its ready points, working
+     * members and holder (a member id, 0: none). Its own group; else
+     * the first unheld one, which it then holds; else, stealing, the
+     * group with the most ready points if ready > workers x
+     * @p passPoints (a pass's length in point times, 0 until timed):
+     * its workers would still be busy once the stealer's own pass is
+     * done. kNoGroup: none. A steal waits on no other member's point.
+     * Exposed for tests.
+     */
+    static std::size_t pickGroup(std::size_t own,
+                                 const std::vector<std::size_t> &ready,
+                                 const std::vector<std::size_t> &workers,
+                                 const std::vector<std::uint64_t> &holder,
+                                 double passPoints);
 
   private:
     std::vector<std::string> workerCmd_;

@@ -1,13 +1,15 @@
 /**
  * @file
- * ShardedSweep tests: the static partition is disjoint and covering,
- * "i/N" parsing is strict, the ordered sink fires in ascending grid
- * order even under parallel execution, shards executed in separate
- * pools merge to exactly the unsharded results (the wire encodings are
- * compared byte-for-byte), the --worker child loop speaks the framed
- * wire protocol over a socketpair, and benchMain refuses out-of-range
- * counts and watchdog timeouts and every `--merge` input that is not a
- * complete, disjoint cover of its grid.
+ * ShardedSweep tests: the pass-group deal order groups points by the
+ * slice pass they share, threads take it breadth-first, the static
+ * partition is disjoint, covering, size-balanced and keeps groups
+ * together, "i/N" parsing is strict, the ordered sink fires in
+ * ascending grid order even under parallel execution, shards executed
+ * in separate pools merge to exactly the unsharded results (the wire
+ * encodings are compared byte-for-byte), the --worker child loop
+ * speaks the framed wire protocol over a socketpair, and benchMain
+ * refuses out-of-range counts and watchdog timeouts and every
+ * `--merge` input that is not a complete, disjoint cover of its grid.
  */
 
 #include <gtest/gtest.h>
@@ -66,24 +68,141 @@ encodeAll(const std::vector<ExperimentResult> &results)
     return lines;
 }
 
+/** @p total never-simulated points whose pass keys (the slice
+ *  threshold here) cycle through @p keys values, so groups interleave
+ *  in grid order. */
+std::vector<GridPoint>
+interleavedGrid(std::size_t total, unsigned keys)
+{
+    std::vector<GridPoint> points;
+    for (std::size_t i = 0; i < total; ++i) {
+        ExperimentConfig config;
+        config.sliceThreshold = 1 + static_cast<unsigned>(i % keys);
+        points.push_back({"is", config, 2});
+    }
+    return points;
+}
+
+/** fig06's shape: @p workloads pass groups of @p configs adjacent
+ *  points each. */
+std::vector<GridPoint>
+blockGrid(unsigned workloads, unsigned configs)
+{
+    std::vector<GridPoint> points;
+    for (unsigned w = 0; w < workloads; ++w)
+        for (unsigned c = 0; c < configs; ++c) {
+            ExperimentConfig config;
+            config.sliceThreshold = 1 + w;
+            config.numCheckpoints = 1 + c;
+            points.push_back({"is", config, 2});
+        }
+    return points;
+}
+
+std::vector<std::size_t>
+allIndices(std::size_t total)
+{
+    std::vector<std::size_t> indices(total);
+    for (std::size_t i = 0; i < total; ++i)
+        indices[i] = i;
+    return indices;
+}
+
+TEST(DealOrder, GroupsByPassKeyInFirstAppearanceAndGridOrder)
+{
+    ExperimentConfig config;
+    config.sliceThreshold = 0;
+    std::vector<GridPoint> points;
+    points.push_back({"is", config, 2});  // group 0: is's default 5
+    config.sliceThreshold = 7;
+    points.push_back({"is", config, 2});  // group 1
+    config.sliceThreshold = 5;
+    config.mode = BerMode::kReCkpt;
+    points.push_back({"is", config, 2});  // 0: same resolved key
+    config.policy = slice::SelectionPolicy::kCostModel;
+    points.push_back({"is", config, 2});  // group 2: policy differs
+    points.push_back({"is", config, 4});  // group 3: threads differ
+    config.sliceThreshold = 0;
+    config.policy = slice::SelectionPolicy::kGreedyThreshold;
+    points.push_back({"mg", config, 2});  // group 4: mg's default 10
+    config.sliceThreshold = 7;
+    points.push_back({"is", config, 2});  // 1
+
+    const auto order =
+        ShardedSweep::dealOrder(points, allIndices(points.size()));
+    std::vector<std::size_t> slots, groups;
+    for (const auto &deal : order) {
+        slots.push_back(deal.slot);
+        groups.push_back(deal.group);
+    }
+    EXPECT_EQ(slots, (std::vector<std::size_t>{0, 2, 1, 6, 3, 4, 5}));
+    EXPECT_EQ(groups, (std::vector<std::size_t>{0, 0, 1, 1, 2, 3, 4}));
+
+    // Slots are positions in the given indices, grouped among those
+    // points only.
+    const auto subset = ShardedSweep::dealOrder(points, {1, 5, 6});
+    ASSERT_EQ(subset.size(), 3u);
+    EXPECT_EQ(subset[0].slot, 0u);
+    EXPECT_EQ(subset[1].slot, 2u);
+    EXPECT_EQ(subset[2].slot, 1u);
+    EXPECT_EQ(subset[2].group, 1u);
+}
+
 TEST(ShardIndices, DisjointAndCovering)
 {
     for (std::size_t total : {0u, 1u, 7u, 16u}) {
+        const auto grid = interleavedGrid(total, 3);
+        const auto order = ShardedSweep::dealOrder(grid, allIndices(total));
         for (unsigned count : {1u, 2u, 3u, 5u}) {
             std::set<std::size_t> seen;
+            std::size_t position = 0;
             for (unsigned shard = 0; shard < count; ++shard) {
-                const auto owned = ShardedSweep::shardIndices(
-                    total, {shard, count});
+                const auto owned =
+                    ShardedSweep::shardIndices(grid, {shard, count});
                 EXPECT_TRUE(
                     std::is_sorted(owned.begin(), owned.end()));
+                // Shard i owns the i-th contiguous run of the order.
+                std::set<std::size_t> run;
+                for (std::size_t i = 0; i < owned.size(); ++i)
+                    run.insert(order.at(position++).slot);
+                EXPECT_EQ(run, std::set<std::size_t>(owned.begin(),
+                                                     owned.end()));
                 for (std::size_t index : owned) {
-                    EXPECT_EQ(index % count, shard);
                     EXPECT_LT(index, total);
                     EXPECT_TRUE(seen.insert(index).second)
                         << "index " << index << " owned twice";
                 }
             }
             EXPECT_EQ(seen.size(), total);
+        }
+    }
+}
+
+TEST(ShardIndices, BalancedAndKeepsPassGroupsTogether)
+{
+    // fig06's 8 x 5 grid over 3 shards, and more shapes besides.
+    for (const auto &[workloads, configs] :
+         std::vector<std::pair<unsigned, unsigned>>{
+             {8, 5}, {1, 7}, {3, 4}, {5, 5}, {16, 3}}) {
+        const auto grid = blockGrid(workloads, configs);
+        for (unsigned count : {1u, 2u, 3u, 4u}) {
+            std::size_t smallest = grid.size(), largest = 0;
+            std::vector<std::set<unsigned>> spans(workloads);
+            for (unsigned shard = 0; shard < count; ++shard) {
+                const auto owned =
+                    ShardedSweep::shardIndices(grid, {shard, count});
+                smallest = std::min(smallest, owned.size());
+                largest = std::max(largest, owned.size());
+                for (std::size_t index : owned)
+                    spans[index / configs].insert(shard);
+            }
+            EXPECT_LE(largest - smallest, 1u)
+                << workloads << "x" << configs << " over " << count;
+            if (configs > smallest)
+                continue;  // a group larger than a shard must split
+            for (const auto &span : spans)
+                EXPECT_LE(span.size(), 2u)
+                    << workloads << "x" << configs << " over " << count;
         }
     }
 }
@@ -137,6 +256,37 @@ TEST(ShardedSweepRun, MatchesAcrossJobCountsAndSinkIsOrdered)
     EXPECT_EQ(order, expected);
 }
 
+TEST(ShardedSweepRun, ThreadsTakePassGroupsBreadthFirst)
+{
+    // Two pass groups, interleaved in grid order: A at indices 0, 1, 4
+    // and B at 2, 3. One thread completes points in the order it takes
+    // them: every group's first point, then each group's rest.
+    ExperimentConfig config;
+    config.sliceThreshold = 0;
+    std::vector<GridPoint> grid;
+    grid.push_back({"is", config, 2});
+    config.mode = BerMode::kCkpt;
+    grid.push_back({"is", config, 2});
+    config.sliceThreshold = 3;
+    grid.push_back({"is", config, 2});
+    config.mode = BerMode::kReCkpt;
+    grid.push_back({"is", config, 2});
+    config.sliceThreshold = 0;
+    grid.push_back({"is", config, 2});
+
+    RunnerPool pool;
+    ShardedSweep sweep(pool, 1);
+    ShardedSweep::SweepControls controls;
+    std::vector<std::size_t> taken;
+    controls.completed = [&](std::size_t index, const ExperimentResult &) {
+        taken.push_back(index);
+    };
+    sweep.run(grid, {}, controls);
+    EXPECT_EQ(taken, (std::vector<std::size_t>{0, 2, 1, 4, 3}));
+    EXPECT_EQ(sweep.hostStats().get("sweep.slicePasses"), 2.0);
+    EXPECT_EQ(pool.slicePassRuns(), 2u);
+}
+
 TEST(ShardedSweepRun, ShardsMergeToTheUnshardedResults)
 {
     const auto grid = smallGrid();
@@ -152,7 +302,7 @@ TEST(ShardedSweepRun, ShardsMergeToTheUnshardedResults)
         RunnerPool pool;
         ShardedSweep sweep(pool, 2);
         const auto owned =
-            ShardedSweep::shardIndices(grid.size(), {shard, 2});
+            ShardedSweep::shardIndices(grid, {shard, 2});
         const auto results = sweep.run(grid, {shard, 2});
         ASSERT_EQ(results.size(), owned.size());
         for (std::size_t i = 0; i < owned.size(); ++i)
@@ -399,6 +549,8 @@ TEST(BenchMainFlags, MergeRefusalsExitNamingTheProblem)
          "result index 1 does not belong to shard 0/2"},
         {{{line(0, 1), result(0), result(0), result(1)}},
          "duplicate result for index 0"},
+        {{{line(2, 2), result(0)}}, "bad shard 2/2"},
+        {{{line(0, 0), result(0)}}, "bad shard 0/0"},
     };
     for (const auto &refusal : cases) {
         std::vector<std::string> paths;
@@ -412,6 +564,19 @@ TEST(BenchMainFlags, MergeRefusalsExitNamingTheProblem)
     // The same inputs, well formed, merge cleanly.
     EXPECT_EQ(merge({file({line(0, 2), result(0)}),
                      file({line(1, 2), result(1)})}),
+              0);
+
+    // Membership follows the deal order, not the grid index: on four
+    // points of one pass group, shard 0/2 owns 0 and 1 — where the
+    // every-N-th-point rule would have given it 0 and 2.
+    grid = smallGrid();
+    grid.resize(4);
+    EXPECT_EXIT(merge({file({line(0, 2), result(0), result(2)}),
+                       file({line(1, 2), result(1), result(3)})}),
+                testing::ExitedWithCode(1),
+                "result index 2 does not belong to shard 0/2");
+    EXPECT_EQ(merge({file({line(0, 2), result(0), result(1)}),
+                     file({line(1, 2), result(2), result(3)})}),
               0);
     for (const auto &path : written)
         std::remove(path.c_str());
